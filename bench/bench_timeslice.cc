@@ -27,7 +27,8 @@ Schema EncodedSchema() {
 
 /// Short-lived intervals (1..2000 ticks) over a wide domain: the
 /// time-travel dashboard shape, where any instant sees a small fraction
-/// of the table's history alive.
+/// of the table's history alive.  Encoded as columns, like every stored
+/// table (the timeline index refuses row-stored sources).
 Relation MakeTable(Rng* rng, int rows) {
   Relation rel(EncodedSchema());
   rel.Reserve(static_cast<size_t>(rows));
@@ -37,6 +38,7 @@ Relation MakeTable(Rng* rng, int rows) {
     rel.AddRow({Value::Int(rng->Range(0, 63)), Value::Int(i), Value::Int(b),
                 Value::Int(e)});
   }
+  rel.ToColumnar();
   return rel;
 }
 

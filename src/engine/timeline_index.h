@@ -55,10 +55,11 @@ class TimelineIndex {
   static constexpr int64_t kDefaultCheckpointInterval = 64;
 
   /// Builds the index over the trailing two (a_begin, a_end) columns of
-  /// `source` — the PERIODENC invariant position.  Returns nullptr when
-  /// the index cannot represent the relation exactly: fewer than two
-  /// columns, or any row whose endpoint values are not integers (the
-  /// scan path throws on such rows, so callers must fall back to it).
+  /// `source` — the PERIODENC invariant position.  Sources are stored
+  /// tables, which are columnar by construction.  Returns nullptr, and
+  /// callers keep the scan path, for anything else: a row-stored
+  /// source, fewer than two columns, or endpoint columns that are not
+  /// non-null int64 (the scan path throws on such rows).
   /// Rows with an empty validity interval (begin >= end) are indexed as
   /// never alive, exactly like the scan path treats them.
   /// Complexity: O(n log n) time, O(n + checkpoints) space.
@@ -80,9 +81,9 @@ class TimelineIndex {
   /// plus a delta built over only the appended row range — O(appended)
   /// instead of O(table).  Preconditions checked (nullptr returned on
   /// violation, so callers fall back to a full build or the scan):
-  /// `source` must have the same arity as base's relation, at least as
-  /// many rows (the copy-on-write append contract: prefix rows are
-  /// value-identical), and integer endpoints in every appended row.
+  /// `source` must be columnar, have the same arity as base's relation,
+  /// at least as many rows (the copy-on-write append contract: prefix
+  /// rows are value-identical), and non-null int64 endpoint columns.
   /// When `base` already carries a delta, the chain flattens: the new
   /// index keeps base's *core* and re-derives one delta covering every
   /// row appended since the core was built (still O(total delta), which

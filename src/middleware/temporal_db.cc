@@ -37,20 +37,38 @@ std::string PlanCacheKey(const std::string& sql,
                 static_cast<int>(options.use_cost_model), "|", sql);
 }
 
-/// A mutated table ready to publish: the shared relation handle plus
-/// its statistics, both built *outside* the catalog locks (stats are a
-/// pure function of the immutable relation).  Period tables profile
-/// their stored interval columns; (-1, -1) means no period columns.
-struct PublishedTable {
-  std::shared_ptr<const Relation> relation;
-  std::shared_ptr<const TableStats> stats;
-};
+/// The period-column checks CreatePeriodTable and PutPeriodTable
+/// share: two distinct columns, both in the schema.
+Status CheckPeriodColumns(const Schema& schema,
+                          const sql::PeriodTableInfo& period) {
+  if (period.begin_column == period.end_column) {
+    return Status::InvalidArgument(
+        StrCat("period begin and end must be distinct columns, got (",
+               period.begin_column, ", ", period.end_column, ")"));
+  }
+  if (schema.Find("", period.begin_column) < 0 ||
+      schema.Find("", period.end_column) < 0) {
+    return Status::InvalidArgument(
+        StrCat("period columns (", period.begin_column, ", ",
+               period.end_column, ") must be part of the schema"));
+  }
+  return Status::OK();
+}
 
-// periodk-lint: allow(relation-by-value): ownership sink, callers move
-PublishedTable PrepareTable(Relation relation, int begin_col, int end_col) {
-  auto shared = std::make_shared<const Relation>(std::move(relation));
-  auto stats = TableStats::Collect(shared, begin_col, end_col);
-  return PublishedTable{std::move(shared), std::move(stats)};
+/// A stored period endpoint column must be non-null int64: snapshot
+/// semantics, the stats and the timeline index all read it as integer
+/// time points.  On an encoded table this is a look at the column tag
+/// and null count.
+Status CheckEndpointColumn(const Relation& encoded, int col,
+                           const std::string& table) {
+  const ColumnData& column = encoded.col(static_cast<size_t>(col));
+  if (column.tag() == ColumnTag::kInt && !column.has_nulls()) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(StrCat(
+      "period column ", encoded.schema().at(static_cast<size_t>(col)).name,
+      " of ", table, " must hold non-null integer time points, got a ",
+      column.tag() == ColumnTag::kInt ? "NULL" : "non-integer value"));
 }
 
 }  // namespace
@@ -79,7 +97,6 @@ TemporalDB::TemporalDB(TemporalDB&& other)
   period_tables_ = std::move(other.period_tables_);
   catalog_generation_ = other.catalog_generation_;
   table_versions_ = std::move(other.table_versions_);
-  columnar_storage_ = other.columnar_storage_;
   index_maintenance_ = other.index_maintenance_;
   {
     MutexLock maintenance_lock(other.maintenance_mu_);
@@ -210,212 +227,130 @@ void TemporalDB::ScheduleBackgroundCompaction(
 
 Status TemporalDB::CreateTable(const std::string& name,
                                const std::vector<std::string>& columns) {
-  MutexLock writer_lock(writer_mu_);
-  // writer_mu_ alone would suffice for this read (only writers modify
-  // the catalog and they serialize), but "either of two locks" is not
-  // a provable protocol — the shared lock is contention-free here and
-  // lets the analysis check the read.
-  {
-    SharedReaderLock lock(catalog_mu_);
-    if (catalog_.Has(name)) {
-      return Status::AlreadyExists(StrCat("table exists: ", name));
-    }
-  }
-  Relation table{Schema::FromNames(columns)};
-  if (columnar_storage_) table.ToColumnar();
-  PublishedTable pub = PrepareTable(std::move(table), -1, -1);
-  {
-    SharedMutexLock lock(catalog_mu_);
-    catalog_.PutShared(name, std::move(pub.relation));
-    catalog_.PutStats(name, std::move(pub.stats));
-    ++catalog_generation_;
-    table_versions_[name] = catalog_generation_;
-  }
-  InvalidatePlanCache();
-  return Status::OK();
+  return Publish(name, WriteKind::kCreate,
+                 Relation(Schema::FromNames(columns)), std::nullopt, {});
 }
 
 Status TemporalDB::CreatePeriodTable(const std::string& name,
                                      const std::vector<std::string>& columns,
                                      const std::string& begin_column,
                                      const std::string& end_column) {
-  if (begin_column == end_column) {
-    return Status::InvalidArgument(
-        StrCat("period begin and end must be distinct columns, got (",
-               begin_column, ", ", end_column, ")"));
-  }
-  Schema schema = Schema::FromNames(columns);
-  if (schema.Find("", begin_column) < 0 || schema.Find("", end_column) < 0) {
-    return Status::InvalidArgument(
-        StrCat("period columns (", begin_column, ", ", end_column,
-               ") must be part of the schema"));
-  }
-  MutexLock writer_lock(writer_mu_);
-  {
-    SharedReaderLock lock(catalog_mu_);
-    if (catalog_.Has(name)) {
-      return Status::AlreadyExists(StrCat("table exists: ", name));
-    }
-  }
-  const int begin_idx = schema.Find("", begin_column);
-  const int end_idx = schema.Find("", end_column);
-  Relation table{std::move(schema)};
-  if (columnar_storage_) table.ToColumnar();
-  PublishedTable pub = PrepareTable(std::move(table), begin_idx, end_idx);
-  {
-    SharedMutexLock lock(catalog_mu_);
-    catalog_.PutShared(name, std::move(pub.relation));
-    catalog_.PutStats(name, std::move(pub.stats));
-    period_tables_[name] = sql::PeriodTableInfo{begin_column, end_column};
-    ++catalog_generation_;
-    table_versions_[name] = catalog_generation_;
-  }
-  InvalidatePlanCache();
-  return Status::OK();
+  sql::PeriodTableInfo period{begin_column, end_column};
+  Relation table(Schema::FromNames(columns));
+  Status status = CheckPeriodColumns(table.schema(), period);
+  if (!status.ok()) return status;
+  return Publish(name, WriteKind::kCreate, std::move(table),
+                 std::move(period), {});
 }
 
 // periodk-lint: allow(relation-by-value): ownership sink, callers move
 Status TemporalDB::PutPeriodTable(const std::string& name, Relation relation,
                                   const std::string& begin_column,
                                   const std::string& end_column) {
-  if (begin_column == end_column) {
-    return Status::InvalidArgument(
-        StrCat("period begin and end must be distinct columns, got (",
-               begin_column, ", ", end_column, ")"));
-  }
-  if (relation.schema().Find("", begin_column) < 0 ||
-      relation.schema().Find("", end_column) < 0) {
-    return Status::InvalidArgument(
-        StrCat("period columns (", begin_column, ", ", end_column,
-               ") must be part of the schema"));
-  }
-  MutexLock writer_lock(writer_mu_);
-  if (columnar_storage_) relation.ToColumnar();
-  const int begin_idx = relation.schema().Find("", begin_column);
-  const int end_idx = relation.schema().Find("", end_column);
-  PublishedTable pub = PrepareTable(std::move(relation), begin_idx, end_idx);
-  {
-    SharedMutexLock lock(catalog_mu_);
-    catalog_.PutShared(name, std::move(pub.relation));
-    catalog_.PutStats(name, std::move(pub.stats));
-    period_tables_[name] = sql::PeriodTableInfo{begin_column, end_column};
-    ++catalog_generation_;
-    table_versions_[name] = catalog_generation_;
-  }
-  InvalidatePlanCacheForTable(name);
-  return Status::OK();
+  sql::PeriodTableInfo period{begin_column, end_column};
+  Status status = CheckPeriodColumns(relation.schema(), period);
+  if (!status.ok()) return status;
+  return Publish(name, WriteKind::kReplace, std::move(relation),
+                 std::move(period), {});
 }
 
 Status TemporalDB::Insert(const std::string& table, Row row) {
-  MutexLock writer_lock(writer_mu_);
-  std::shared_ptr<const Relation> current;
-  std::shared_ptr<const TimelineIndex> old_index;
-  int begin_idx = -1;
-  int end_idx = -1;
-  {
-    SharedReaderLock lock(catalog_mu_);
-    if (!catalog_.Has(table)) {
-      return Status::NotFound(StrCat("unknown table: ", table));
-    }
-    current = catalog_.GetShared(table);
-    old_index = catalog_.GetIndex(table);
-    auto pt = period_tables_.find(table);
-    if (pt != period_tables_.end()) {
-      begin_idx = current->schema().Find("", pt->second.begin_column);
-      end_idx = current->schema().Find("", pt->second.end_column);
-    }
-  }
-  if (row.size() != current->schema().size()) {
-    return Status::InvalidArgument(
-        StrCat("arity mismatch inserting into ", table, ": got ", row.size(),
-               " values, expected ", current->schema().size()));
-  }
-  // Copy-on-write outside the reader lock: pinned snapshots keep the
-  // old relation alive and untouched.
-  Relation next = *current;
-  next.AddRow(std::move(row));
-  if (columnar_storage_) next.ToColumnar();
-  PublishedTable pub = PrepareTable(std::move(next), begin_idx, end_idx);
-  // Index maintenance rides the same copy-on-write publication: the old
-  // index plus the appended row become a differential index (or, past
-  // the threshold, a freshly folded one) — still outside the locks.
-  AppendIndexPlan index_plan = PlanAppendIndex(
-      current, old_index, pub.relation, pub.stats, begin_idx, end_idx);
-  uint64_t published_version = 0;
-  {
-    SharedMutexLock lock(catalog_mu_);
-    catalog_.PutShared(table, pub.relation);
-    catalog_.PutStats(table, std::move(pub.stats));
-    // PutShared dropped the index slot; restore the maintained index in
-    // the same critical section so no reader observes the gap.
-    if (index_plan.index != nullptr) {
-      catalog_.PutIndex(table, index_plan.index);
-    }
-    ++catalog_generation_;
-    table_versions_[table] = catalog_generation_;
-    published_version = catalog_generation_;
-  }
-  InvalidatePlanCacheForTable(table);
-  if (index_plan.compact_in_background) {
-    ScheduleBackgroundCompaction(table, pub.relation, begin_idx, end_idx,
-                                 index_plan.checkpoint_interval,
-                                 published_version);
-  }
-  return Status::OK();
+  std::vector<Row> rows;
+  rows.push_back(std::move(row));
+  return InsertRows(table, std::move(rows));
 }
 
 Status TemporalDB::InsertRows(const std::string& table,
                               std::vector<Row> rows) {
+  return Publish(table, WriteKind::kAppend, Relation(), std::nullopt,
+                 std::move(rows));
+}
+
+Status TemporalDB::Publish(const std::string& name, WriteKind kind,
+                           Relation&& base,
+                           std::optional<sql::PeriodTableInfo> period,
+                           std::vector<Row> rows) {
   MutexLock writer_lock(writer_mu_);
   std::shared_ptr<const Relation> current;
   std::shared_ptr<const TimelineIndex> old_index;
-  int begin_idx = -1;
-  int end_idx = -1;
+  // writer_mu_ alone would suffice for these reads (only writers modify
+  // the catalog and they serialize), but "either of two locks" is not
+  // a provable protocol — the shared lock is contention-free here and
+  // lets the analysis check the reads.
   {
     SharedReaderLock lock(catalog_mu_);
-    if (!catalog_.Has(table)) {
-      return Status::NotFound(StrCat("unknown table: ", table));
+    const bool exists = catalog_.Has(name);
+    if (kind == WriteKind::kCreate && exists) {
+      return Status::AlreadyExists(StrCat("table exists: ", name));
     }
-    current = catalog_.GetShared(table);
-    old_index = catalog_.GetIndex(table);
-    auto pt = period_tables_.find(table);
-    if (pt != period_tables_.end()) {
-      begin_idx = current->schema().Find("", pt->second.begin_column);
-      end_idx = current->schema().Find("", pt->second.end_column);
+    if (kind == WriteKind::kAppend) {
+      if (!exists) return Status::NotFound(StrCat("unknown table: ", name));
+      current = catalog_.GetShared(name);
+      old_index = catalog_.GetIndex(name);
+      auto pt = period_tables_.find(name);
+      if (pt != period_tables_.end()) period = pt->second;
     }
   }
-  // Validate every arity before any row lands: a bulk insert is atomic,
-  // so a mid-batch mismatch must not leave the table half-populated.
+  const Schema& schema = current != nullptr ? current->schema() : base.schema();
+  // Validate every arity before any row lands: a write is atomic, so a
+  // mid-batch mismatch must not leave the table half-populated.
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].size() != current->schema().size()) {
+    if (rows[i].size() != schema.size()) {
       return Status::InvalidArgument(StrCat(
-          "arity mismatch inserting into ", table, " at row ", i, ": got ",
-          rows[i].size(), " values, expected ", current->schema().size()));
+          "arity mismatch inserting into ", name, " at row ", i, ": got ",
+          rows[i].size(), " values, expected ", schema.size()));
     }
   }
-  if (rows.empty()) return Status::OK();
-  Relation next = *current;
-  next.Reserve(next.size() + rows.size());
-  for (Row& row : rows) next.AddRow(std::move(row));
-  if (columnar_storage_) next.ToColumnar();
-  PublishedTable pub = PrepareTable(std::move(next), begin_idx, end_idx);
+  if (kind == WriteKind::kAppend && rows.empty()) return Status::OK();
+
+  // Build the new state outside the reader lock: copy-on-write leaves
+  // the relation that pinned snapshots hold untouched.
+  Relation next = current != nullptr ? Relation(*current) : std::move(base);
+  if (!rows.empty()) {
+    next.Reserve(next.size() + rows.size());
+    for (Row& row : rows) next.AddRow(std::move(row));
+  }
+  next.ToColumnar();
+  int begin_idx = -1;
+  int end_idx = -1;
+  if (period.has_value()) {
+    begin_idx = next.schema().Find("", period->begin_column);
+    end_idx = next.schema().Find("", period->end_column);
+    for (int col : {begin_idx, end_idx}) {
+      Status status = CheckEndpointColumn(next, col, name);
+      if (!status.ok()) return status;
+    }
+  }
+  auto relation = std::make_shared<const Relation>(std::move(next));
+  std::shared_ptr<const TableStats> stats =
+      TableStats::Collect(relation, begin_idx, end_idx);
+  // Index maintenance rides the same publication: an append turns the
+  // old index plus the new rows into a differential index (or, past the
+  // threshold, a freshly folded one).  Created and replaced tables have
+  // no old index; their slot stays empty for a lazy build on read.
   AppendIndexPlan index_plan = PlanAppendIndex(
-      current, old_index, pub.relation, pub.stats, begin_idx, end_idx);
+      current, old_index, relation, stats, begin_idx, end_idx);
+
   uint64_t published_version = 0;
   {
     SharedMutexLock lock(catalog_mu_);
-    catalog_.PutShared(table, pub.relation);
-    catalog_.PutStats(table, std::move(pub.stats));
-    if (index_plan.index != nullptr) {
-      catalog_.PutIndex(table, index_plan.index);
-    }
+    catalog_.PutShared(name, relation);
+    catalog_.PutStats(name, std::move(stats));
+    // PutShared dropped the index slot; restore the maintained index in
+    // the same critical section so no reader observes the gap.
+    if (index_plan.index != nullptr) catalog_.PutIndex(name, index_plan.index);
+    if (period.has_value()) period_tables_[name] = *period;
     ++catalog_generation_;
-    table_versions_[table] = catalog_generation_;
+    table_versions_[name] = catalog_generation_;
     published_version = catalog_generation_;
   }
-  InvalidatePlanCacheForTable(table);
+  if (kind == WriteKind::kCreate) {
+    InvalidatePlanCache();
+  } else {
+    InvalidatePlanCacheForTable(name);
+  }
   if (index_plan.compact_in_background) {
-    ScheduleBackgroundCompaction(table, pub.relation, begin_idx, end_idx,
+    ScheduleBackgroundCompaction(name, relation, begin_idx, end_idx,
                                  index_plan.checkpoint_interval,
                                  published_version);
   }
@@ -789,9 +724,8 @@ Result<Relation> TemporalDB::Timeslice(const std::string& table,
   try {  // the middleware boundary never throws, index path included
     if (options_.use_timeline_index) {
       // Point lookup through the timeline index: checkpoint + bounded
-      // replay, row-identical to the scan path below.  Build() returns
-      // nullptr for unindexable tables (non-integer endpoints), which
-      // keeps the scan path's diagnostics.
+      // replay, row-identical to the scan path below.  Stored period
+      // endpoints are non-null int64, so the index always builds.
       std::shared_ptr<const TimelineIndex> index = EnsureTimelineIndex(
           table, begin_idx, end_idx, snap, options_.use_cost_model);
       if (index != nullptr) return index->Timeslice(t);

@@ -33,9 +33,16 @@
 // InsertRows / PutPeriodTable) evicts only the plans that read T, so a
 // hot plan survives writes to unrelated tables.  Creating a table
 // conservatively flushes everything; disabling the cache drops it
-// outright.  Tables are stored columnar (engine/column.h) by default:
-// writers re-encode the mutated copy before publishing it, so every
-// query scans typed column arrays.
+// outright.
+//
+// Storage invariant: every published table is columnar
+// (engine/column.h), and a period table's two endpoint columns are
+// non-null int64 columns.  All five writers end in one publish routine
+// that establishes it (copy -> append -> encode -> endpoint check ->
+// stats -> index maintenance -> swap), so every query scans typed
+// column arrays and every index or statistic reads integer time points.
+// The TimeDomain is not enforced on stored endpoints.
+//
 // Point-in-time reads (SEQ VT AS OF, Timeslice) are answered from
 // per-table timeline indexes (engine/timeline_index.h) built lazily on
 // the first indexed read.  Appends keep them warm: the new rows become
@@ -48,6 +55,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -141,9 +149,11 @@ class TemporalDB {
                                    const std::vector<std::string>& columns);
 
   /// Creates a period table; `begin_column` / `end_column` must be two
-  /// distinct members of `columns` holding integer time points within
-  /// the domain (InvalidArgument otherwise; AlreadyExists when the name
-  /// is taken).  Thread-safe (serializes with other writers).
+  /// distinct members of `columns` (InvalidArgument otherwise;
+  /// AlreadyExists when the name is taken).  Every row later written
+  /// must hold non-null integer time points in both; values outside the
+  /// domain are stored as given.  Thread-safe (serializes with other
+  /// writers).
   [[nodiscard]] Status CreatePeriodTable(
       const std::string& name, const std::vector<std::string>& columns,
       const std::string& begin_column, const std::string& end_column);
@@ -151,21 +161,23 @@ class TemporalDB {
   /// Registers an existing relation as a period table (bulk load);
   /// replaces any previous table of that name atomically.  Readers
   /// pinned to the old snapshot keep the old relation alive.
-  /// Thread-safe (serializes with other writers).
+  /// InvalidArgument (table untouched) when a period endpoint is not a
+  /// non-null integer.  Thread-safe (serializes with other writers).
   // periodk-lint: allow(relation-by-value): ownership sink, callers move
   [[nodiscard]] Status PutPeriodTable(const std::string& name,
                                       Relation relation,
                                       const std::string& begin_column,
                                       const std::string& end_column);
 
-  /// Copy-on-write append: readers pinned to the old snapshot keep
-  /// seeing the table without the row.  O(table) per call — batch with
-  /// InsertRows when loading.  InvalidArgument on arity mismatch,
-  /// NotFound for unknown tables.  Thread-safe.
+  /// Copy-on-write append of one row (InsertRows with a one-row batch):
+  /// readers pinned to the old snapshot keep seeing the table without
+  /// the row.  O(table) per call — batch with InsertRows when loading.
+  /// Thread-safe.
   [[nodiscard]] Status Insert(const std::string& table, Row row);
-  /// Bulk insert; atomic: every row's arity is validated before any row
-  /// lands, so a failure leaves the table untouched.  O(table + batch)
-  /// per call.  Thread-safe.
+  /// Bulk insert; atomic: a failure leaves the table untouched.
+  /// InvalidArgument on an arity mismatch or, for period tables, a
+  /// non-integer or NULL endpoint in any row; NotFound for unknown
+  /// tables.  O(table + batch) per call.  Thread-safe.
   [[nodiscard]] Status InsertRows(const std::string& table,
                                   std::vector<Row> rows);
 
@@ -209,10 +221,10 @@ class TemporalDB {
   /// interval columns dropped.  NotFound for unknown tables,
   /// InvalidArgument for non-period tables.  Served from the table's
   /// timeline index — O(log #events + K + answer) after the first call
-  /// has built the index — unless options().use_timeline_index is off
-  /// or the table holds non-integer endpoints, in which case it is the
-  /// O(table) scan.  Both paths return identical rows in identical
-  /// order.  Thread-safe, like every read entry point.
+  /// has built the index — unless options().use_timeline_index is off,
+  /// in which case it is the O(table) scan.  Both paths return
+  /// identical rows in identical order.  Thread-safe, like every read
+  /// entry point.
   [[nodiscard]] Result<Relation> Timeslice(const std::string& table,
                                            TimePoint t) const;
 
@@ -237,18 +249,9 @@ class TemporalDB {
   [[nodiscard]] PlanCacheStats plan_cache_stats() const;
   void set_plan_cache_enabled(bool enabled);
 
-  /// Columnar table storage (on by default): writers re-encode each
-  /// mutated table copy as typed columns before publishing, so scans
-  /// and the vectorized kernels read contiguous arrays.  Turning it off
-  /// keeps subsequently published tables in row storage (ablation /
-  /// differential testing).  Not synchronized: configure before sharing
-  /// the instance across threads.
-  void set_columnar_storage(bool enabled) { columnar_storage_ = enabled; }
-  bool columnar_storage() const { return columnar_storage_; }
-
   /// Write-path index maintenance knobs (see IndexMaintenanceOptions).
   /// Not synchronized: configure before sharing the instance across
-  /// threads, like set_columnar_storage.
+  /// threads.
   void set_index_maintenance(const IndexMaintenanceOptions& options) {
     index_maintenance_ = options;
   }
@@ -285,8 +288,9 @@ class TemporalDB {
   /// under the generation tag: it happens only while the catalog is
   /// still at the snapshot's generation (a concurrent writer's
   /// copy-on-write publication simply wins and the index stays
-  /// snapshot-local).  Returns nullptr when the table cannot be indexed
-  /// exactly (non-integer endpoints) — callers fall back to the scan.
+  /// snapshot-local).  Returns nullptr when the columns cannot be
+  /// indexed exactly (not non-null int64) — callers fall back to the
+  /// scan.
   /// `use_cost_model` sizes the checkpoint interval from the table's
   /// statistics (CostModel::PickCheckpointInterval) instead of the
   /// fixed default; either interval yields identical query results.
@@ -297,6 +301,29 @@ class TemporalDB {
   /// a scan (the shape PushDownTimeslice produces for AS OF queries).
   void EnsureTimelineIndexes(const PlanPtr& plan, Snapshot& snap,
                              bool use_cost_model) const;
+
+  /// How a write relates to the table's current state.
+  enum class WriteKind {
+    kCreate,   // the name must be free; flushes the whole plan cache
+    kReplace,  // creates or replaces the table; evicts its cached plans
+    kAppend,   // the table must exist; the rows are appended to it
+  };
+  /// The one publish path every writer ends in.  Under writer_mu_ it
+  /// checks existence against `kind`, copies the base (the current
+  /// table for kAppend, else `base`), appends `rows` (every arity is
+  /// checked first, so the write is atomic), encodes the result as
+  /// columns, rejects a non-integer or NULL period endpoint with
+  /// InvalidArgument, collects stats, maintains the timeline index, and
+  /// swaps relation, stats and index into the catalog in one exclusive
+  /// section.  Then it invalidates cached plans and schedules any
+  /// background compaction.  `period` names the endpoint columns of a
+  /// created or replaced period table; an append reads them from the
+  /// catalog.
+  [[nodiscard]] Status Publish(const std::string& name, WriteKind kind,
+                               Relation&& base,
+                               std::optional<sql::PeriodTableInfo> period,
+                               std::vector<Row> rows)
+      PERIODK_EXCLUDES(writer_mu_, catalog_mu_);
 
   /// What an append publishes into the table's index slot, decided by
   /// PlanAppendIndex.
@@ -383,8 +410,6 @@ class TemporalDB {
   // table name -> generation at which that table was last published.
   std::map<std::string, uint64_t> table_versions_
       PERIODK_GUARDED_BY(catalog_mu_);
-  // See set_columnar_storage().
-  bool columnar_storage_ = true;
   // See set_index_maintenance().
   IndexMaintenanceOptions index_maintenance_;
 

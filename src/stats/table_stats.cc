@@ -1,6 +1,7 @@
 #include "stats/table_stats.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -11,14 +12,14 @@ namespace periodk {
 
 namespace {
 
-/// Distinct non-null values of column `c`; exact.  Columnar fast-keyable
-/// columns go through the packed-key machinery (dictionary codes keep
-/// string comparisons out of the loop); everything else falls back to a
-/// Value set.
+/// Distinct non-null values of column `c` of a columnar relation;
+/// exact.  Fast-keyable columns go through the packed-key machinery
+/// (dictionary codes keep string comparisons out of the loop); mixed
+/// and NaN-holding columns fall back to a Value set.
 int64_t CountDistinct(const Relation& rel, size_t c) {
   const size_t n = rel.size();
   if (n == 0) return 0;
-  if (rel.is_columnar() && FastKeyable(rel.col(c))) {
+  if (FastKeyable(rel.col(c))) {
     std::vector<uint64_t> packed;
     if (BuildPackedKeys(rel.columns(), {static_cast<int>(c)}, n, &packed)) {
       const ColumnData& col = rel.col(c);
@@ -32,15 +33,9 @@ int64_t CountDistinct(const Relation& rel, size_t c) {
   }
   std::unordered_set<Value, ValueHash> seen;
   seen.reserve(n);
-  if (rel.is_columnar()) {
-    const ColumnData& col = rel.col(c);
-    for (size_t i = 0; i < n; ++i) {
-      if (!col.IsNull(i)) seen.insert(col.Get(i));
-    }
-  } else {
-    for (const Row& row : rel.rows()) {
-      if (!row[c].is_null()) seen.insert(row[c]);
-    }
+  const ColumnData& col = rel.col(c);
+  for (size_t i = 0; i < n; ++i) {
+    if (!col.IsNull(i)) seen.insert(col.Get(i));
   }
   return static_cast<int64_t>(seen.size());
 }
@@ -50,7 +45,14 @@ int64_t CountDistinct(const Relation& rel, size_t c) {
 std::shared_ptr<const TableStats> TableStats::Collect(
     std::shared_ptr<const Relation> source, int begin_col, int end_col) {
   std::shared_ptr<TableStats> stats(new TableStats());
-  const Relation& rel = *source;
+  // Stored tables are columnar by construction; a row-stored input
+  // (engine-level callers) is encoded into a local temporary.
+  std::optional<Relation> encoded;
+  if (!source->is_columnar()) {
+    encoded.emplace(*source);
+    encoded->ToColumnar();
+  }
+  const Relation& rel = encoded.has_value() ? *encoded : *source;
   const size_t n = rel.size();
   const size_t arity = rel.schema().size();
   stats->row_count_ = static_cast<int64_t>(n);
@@ -61,50 +63,24 @@ std::shared_ptr<const TableStats> TableStats::Collect(
   for (size_t c = 0; c < arity; ++c) {
     ColumnStats& cs = stats->columns_[c];
     cs.distinct = CountDistinct(rel, c);
-    if (rel.is_columnar()) {
-      const ColumnData& col = rel.col(c);
-      cs.null_count = static_cast<int64_t>(col.null_count());
-      if (col.tag() == ColumnTag::kInt) {
-        for (size_t i = 0; i < n; ++i) {
-          if (col.IsNull(i)) continue;
-          const int64_t v = col.ints()[i];
-          if (!cs.has_int_range) {
-            cs.has_int_range = true;
-            cs.min_int = cs.max_int = v;
-          } else {
-            cs.min_int = std::min(cs.min_int, v);
-            cs.max_int = std::max(cs.max_int, v);
-          }
-        }
-      } else if (col.tag() == ColumnTag::kMixed) {
-        for (const Value& v : col.mixed()) {
-          const int64_t* i = v.TryInt();
-          if (i == nullptr) continue;
-          if (!cs.has_int_range) {
-            cs.has_int_range = true;
-            cs.min_int = cs.max_int = *i;
-          } else {
-            cs.min_int = std::min(cs.min_int, *i);
-            cs.max_int = std::max(cs.max_int, *i);
-          }
-        }
+    const ColumnData& col = rel.col(c);
+    cs.null_count = static_cast<int64_t>(col.null_count());
+    auto observe = [&cs](int64_t v) {
+      if (!cs.has_int_range) {
+        cs.has_int_range = true;
+        cs.min_int = cs.max_int = v;
+      } else {
+        cs.min_int = std::min(cs.min_int, v);
+        cs.max_int = std::max(cs.max_int, v);
       }
-    } else {
-      for (const Row& row : rel.rows()) {
-        const Value& v = row[c];
-        if (v.is_null()) {
-          ++cs.null_count;
-          continue;
-        }
-        const int64_t* i = v.TryInt();
-        if (i == nullptr) continue;
-        if (!cs.has_int_range) {
-          cs.has_int_range = true;
-          cs.min_int = cs.max_int = *i;
-        } else {
-          cs.min_int = std::min(cs.min_int, *i);
-          cs.max_int = std::max(cs.max_int, *i);
-        }
+    };
+    if (col.tag() == ColumnTag::kInt) {
+      for (size_t i = 0; i < n; ++i) {
+        if (!col.IsNull(i)) observe(col.ints()[i]);
+      }
+    } else if (col.tag() == ColumnTag::kMixed) {
+      for (const Value& v : col.mixed()) {
+        if (const int64_t* i = v.TryInt(); i != nullptr) observe(*i);
       }
     }
   }
@@ -134,18 +110,11 @@ std::shared_ptr<const TableStats> TableStats::Collect(
       }
       ++stats->length_histogram_[bucket];
     };
-    if (rel.is_columnar()) {
-      const ColumnData& bc = rel.col(static_cast<size_t>(begin_col));
-      const ColumnData& ec = rel.col(static_cast<size_t>(end_col));
-      for (size_t i = 0; i < n; ++i) {
-        if (bc.IsNull(i) || ec.IsNull(i)) continue;
-        record(bc.Get(i), ec.Get(i));
-      }
-    } else {
-      for (const Row& row : rel.rows()) {
-        record(row[static_cast<size_t>(begin_col)],
-               row[static_cast<size_t>(end_col)]);
-      }
+    const ColumnData& bc = rel.col(static_cast<size_t>(begin_col));
+    const ColumnData& ec = rel.col(static_cast<size_t>(end_col));
+    for (size_t i = 0; i < n; ++i) {
+      if (bc.IsNull(i) || ec.IsNull(i)) continue;
+      record(bc.Get(i), ec.Get(i));
     }
   }
 

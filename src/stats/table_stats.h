@@ -49,6 +49,8 @@ class TableStats {
   /// interval profile (length histogram, average length, observed
   /// domain coverage) is collected too; -1/-1 means no period columns.
   /// Ill-formed cells (non-int endpoints, begin >= end) are skipped.
+  /// The pass reads columns; a row-stored `source` is encoded into a
+  /// temporary first (stored tables already are columnar).
   [[nodiscard]] static std::shared_ptr<const TableStats> Collect(
       std::shared_ptr<const Relation> source, int begin_col = -1,
       int end_col = -1);

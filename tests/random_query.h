@@ -161,6 +161,16 @@ inline Catalog RandomEncodedCatalog(Rng* rng, const TimeDomain& domain,
   return catalog;
 }
 
+/// Re-stores every table of `catalog` columnar: the layout the
+/// middleware publishes, and the only one a TimelineIndex indexes.
+inline void EncodeTables(Catalog* catalog) {
+  for (const std::string& name : catalog->TableNames()) {
+    Relation rel = catalog->Get(name);
+    rel.ToColumnar();
+    catalog->Put(name, std::move(rel));
+  }
+}
+
 /// Adds a random *period table* "p" to the catalog: same row
 /// distribution as RandomEncodedCatalog, but stored with its interval
 /// columns in non-trailing positions ({a_begin, a, a_end, b}).  Returns

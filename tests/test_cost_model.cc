@@ -77,6 +77,26 @@ TEST(TableStatsTest, BuiltForIsPointerIdentity) {
   EXPECT_FALSE(stats->BuiltFor(r2.get()));
 }
 
+TEST(TableStatsTest, RowStoredInputMatchesItsColumnarEncoding) {
+  // Collect reads columns only; a row-stored source is encoded into a
+  // temporary, so its stats equal those of its columnar copy and stay
+  // pinned to the row-stored object itself.
+  Relation rel(Schema::FromNames({"m", "d", "ts", "te"}));
+  rel.AddRow({Value::Int(4), Value::Double(0.5), Value::Int(0), Value::Int(3)});
+  rel.AddRow({Value::String("s"), Value::Null(), Value::Int(2), Value::Int(9)});
+  rel.AddRow({Value::Int(-2), Value::Double(0.5), Value::Int(5), Value::Int(5)});
+  Relation encoded = rel;
+  encoded.ToColumnar();
+  auto rows = std::make_shared<const Relation>(std::move(rel));
+  auto cols = std::make_shared<const Relation>(std::move(encoded));
+  auto row_stats = TableStats::Collect(rows, 2, 3);
+  EXPECT_EQ(row_stats->ToString(), TableStats::Collect(cols, 2, 3)->ToString());
+  EXPECT_TRUE(row_stats->BuiltFor(rows.get()));
+  EXPECT_FALSE(rows->is_columnar());
+  EXPECT_EQ(row_stats->column(0).min_int, -2);  // the mixed column's ints
+  EXPECT_EQ(row_stats->column(0).max_int, 4);
+}
+
 TEST(TableStatsTest, CatalogDropsStatsOnRepublish) {
   Catalog catalog;
   Relation rel(Schema::FromNames({"a"}));

@@ -35,6 +35,13 @@ Relation EncodedRelation(const std::vector<std::array<int64_t, 4>>& rows) {
   return rel;
 }
 
+/// A shared columnar copy of `rel`: the stored-table layout, and the
+/// only one a TimelineIndex indexes.
+std::shared_ptr<const Relation> Stored(Relation rel) {
+  rel.ToColumnar();
+  return std::make_shared<const Relation>(std::move(rel));
+}
+
 /// Exact comparison: same rows in the same order (the index promises
 /// scan-path row order, delta layer included).
 void ExpectRowsIdentical(const Relation& got, const Relation& want,
@@ -76,7 +83,7 @@ TEST(IncrementalIndexTest, WithDeltaMatchesRebuildAcrossAppendChains) {
       for (int i = static_cast<int>(rng.Uniform(6)); i > 0; --i) {
         current.AddRow(RandomEncodedRow(&rng, current));
       }
-      auto shared = std::make_shared<const Relation>(current);
+      auto shared = Stored(current);
       std::shared_ptr<const TimelineIndex> index =
           TimelineIndex::Build(shared, k);
       ASSERT_NE(index, nullptr);
@@ -86,7 +93,7 @@ TEST(IncrementalIndexTest, WithDeltaMatchesRebuildAcrossAppendChains) {
         for (int i = static_cast<int>(rng.Uniform(5)); i > 0; --i) {
           current.AddRow(RandomEncodedRow(&rng, current));
         }
-        shared = std::make_shared<const Relation>(current);
+        shared = Stored(current);
         index = TimelineIndex::WithDelta(index, shared);
         ASSERT_NE(index, nullptr) << "K=" << k << " batch=" << batch;
         EXPECT_TRUE(index->has_delta());
@@ -123,7 +130,7 @@ TEST(IncrementalIndexTest, WithDeltaMatchesRebuildAcrossAppendChains) {
 }
 
 TEST(IncrementalIndexTest, EmptyDeltaIsValidAndExact) {
-  auto rel = std::make_shared<const Relation>(EncodedRelation({
+  auto rel = Stored(EncodedRelation({
       {1, 10, 0, 5},
       {2, 20, 3, 16},
   }));
@@ -145,7 +152,7 @@ TEST(IncrementalIndexTest, EmptyDeltaIsValidAndExact) {
 }
 
 TEST(IncrementalIndexTest, DuplicateRowsKeepTheirMultiplicity) {
-  auto rel = std::make_shared<const Relation>(EncodedRelation({
+  auto rel = Stored(EncodedRelation({
       {1, 10, 2, 9},
   }));
   auto base = TimelineIndex::Build(rel, 2);
@@ -155,7 +162,7 @@ TEST(IncrementalIndexTest, DuplicateRowsKeepTheirMultiplicity) {
   Relation next = *rel;
   next.AddRow({Value::Int(1), Value::Int(10), Value::Int(2), Value::Int(9)});
   next.AddRow({Value::Int(1), Value::Int(10), Value::Int(2), Value::Int(9)});
-  auto shared = std::make_shared<const Relation>(std::move(next));
+  auto shared = Stored(std::move(next));
   auto index = TimelineIndex::WithDelta(base, shared);
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->num_delta_events(), 4u);
@@ -165,7 +172,7 @@ TEST(IncrementalIndexTest, DuplicateRowsKeepTheirMultiplicity) {
 }
 
 TEST(IncrementalIndexTest, WithDeltaRefusesBadShapes) {
-  auto rel = std::make_shared<const Relation>(EncodedRelation({
+  auto rel = Stored(EncodedRelation({
       {1, 10, 0, 5},
   }));
   auto base = TimelineIndex::Build(rel, 2);
@@ -175,18 +182,18 @@ TEST(IncrementalIndexTest, WithDeltaRefusesBadShapes) {
   // Arity mismatch: not a copy-on-write append of the same table.
   Relation narrow(Schema::FromNames({"a", "a_begin", "a_end"}));
   EXPECT_EQ(TimelineIndex::WithDelta(
-                base, std::make_shared<const Relation>(std::move(narrow))),
+                base, Stored(std::move(narrow))),
             nullptr);
   // Fewer rows than the base covers: prefix contract violated.
   EXPECT_EQ(TimelineIndex::WithDelta(
-                base, std::make_shared<const Relation>(EncodedRelation({}))),
+                base, Stored(EncodedRelation({}))),
             nullptr);
   // Non-integer endpoint in an appended row: the scan path throws on
   // such rows, so the delta refuses exactly like Build does.
   Relation bad = *rel;
   bad.AddRow({Value::Int(2), Value::Int(20), Value::Null(), Value::Int(9)});
   EXPECT_EQ(TimelineIndex::WithDelta(
-                base, std::make_shared<const Relation>(std::move(bad))),
+                base, Stored(std::move(bad))),
             nullptr);
 }
 

@@ -220,6 +220,7 @@ TEST(IntervalJoinPropertyTest, IndexCandidatesKeepSweepRowExact) {
         And(Eq(Col(0), Col(4)), OverlapPred()),
         AndAll({Eq(Col(0), Col(4)), OverlapPred(), Ne(Col(1), Col(5))}),
     };
+    EncodeTables(&catalog);
     catalog.PutIndex("r", TimelineIndex::Build(catalog.GetShared("r")));
     catalog.PutIndex("s", TimelineIndex::Build(catalog.GetShared("s")));
     for (size_t p = 0; p < preds.size(); ++p) {
@@ -255,6 +256,7 @@ TEST(IntervalJoinPropertyTest, IndexCandidatesHandleDegenerateSpans) {
   s.AddRow({Value::Int(1), Value::Int(0), Value::Int(5), Value::Int(9)});
   s.AddRow({Value::Int(2), Value::Int(0), Value::Int(2), Value::Int(4)});
   s.AddRow({Value::Int(3), Value::Int(0), Value::Int(30), Value::Int(35)});
+  s.ToColumnar();
   Catalog catalog;
   catalog.Put("r", std::move(r));
   catalog.Put("s", std::move(s));

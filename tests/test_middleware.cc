@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "baseline/naive.h"
+#include "common/rng.h"
+#include "common/str_util.h"
+#include "stats/table_stats.h"
 #include "tests/running_example.h"
 
 namespace periodk {
@@ -447,6 +450,146 @@ TEST(MiddlewareTest, QueryWithThreadCountMatchesSequential) {
   // num_threads is not part of the plan identity: the second query hit
   // the plan cached by the first.
   EXPECT_GE(db.plan_cache_stats().hits, 1);
+}
+
+TEST(MiddlewareTest, BadPeriodEndpointIsRejectedAndLeavesTableUsable) {
+  // A stored non-integer or NULL endpoint would make every later SEQ VT
+  // query and Timeslice on the table fail with Internal, so writers
+  // reject it and the table stays usable.
+  TemporalDB db(kExampleDomain);
+  ASSERT_TRUE(db.CreatePeriodTable("w", {"name", "ts", "te"}, "ts", "te").ok());
+  ASSERT_TRUE(
+      db.Insert("w", {Value::String("Ann"), Value::Int(3), Value::Int(10)})
+          .ok());
+  EXPECT_EQ(db.Insert("w", {Value::String("Bob"), Value::String("x"),
+                            Value::Int(12)})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      db.Insert("w", {Value::String("Bob"), Value::Int(2), Value::Null()})
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.Insert("w", {Value::String("Bob"), Value::Double(2.5),
+                            Value::Int(9)})
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A bad row in the middle of a batch: nothing lands, not even row 0.
+  EXPECT_EQ(db.InsertRows("w", {{Value::String("Cy"), Value::Int(1),
+                                 Value::Int(4)},
+                                {Value::String("Di"), Value::Null(),
+                                 Value::Int(4)},
+                                {Value::String("Ed"), Value::Int(5),
+                                 Value::Int(6)}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.catalog().Get("w").size(), 1u);
+
+  auto count = db.Query("SEQ VT AS OF 5 (SELECT count(*) AS c FROM w)");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_EQ(count->size(), 1u);
+  EXPECT_EQ(count->rows()[0][0].AsInt(), 1);
+  auto seq = db.Query("SEQ VT (SELECT name FROM w)");
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  auto slice = db.Timeslice("w", 5);
+  ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+  EXPECT_EQ(slice->size(), 1u);
+
+  // Bulk loads are checked the same way; the old table survives.
+  Relation bad(Schema::FromNames({"name", "ts", "te"}));
+  bad.AddRow({Value::String("Fay"), Value::Int(1), Value::String("late")});
+  EXPECT_EQ(db.PutPeriodTable("w", std::move(bad), "ts", "te").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.catalog().Get("w").size(), 1u);
+  EXPECT_TRUE(db.Timeslice("w", 5).ok());
+
+  // The domain is not enforced: out-of-domain integers are stored.
+  EXPECT_TRUE(
+      db.Insert("w", {Value::String("Gil"), Value::Int(-5), Value::Int(99)})
+          .ok());
+  EXPECT_EQ(db.catalog().Get("w").size(), 2u);
+}
+
+TEST(MiddlewareTest, EveryWritePathPublishesTheSameColumnarTable) {
+  // Insert loop, InsertRows batches and one PutPeriodTable over the same
+  // rows must publish the same table: same rows in the same order, same
+  // statistics, same AS-OF answers -- and every published version is
+  // columnar with non-null int64 endpoint columns.
+  Rng rng(0xc01a);
+  const std::vector<std::string> columns = {"name", "vb", "grp", "ve"};
+  std::vector<Row> rows;
+  for (int i = 0; i < 60; ++i) {
+    if (!rows.empty() && rng.Chance(0.1)) {
+      rows.push_back(rows[rng.Uniform(rows.size())]);  // duplicate
+      continue;
+    }
+    TimePoint b = rng.Range(kExampleDomain.tmin, kExampleDomain.tmax - 1);
+    TimePoint e = rng.Chance(0.1) ? b  // empty validity
+                                  : rng.Range(b + 1, kExampleDomain.tmax);
+    Value grp = rng.Chance(0.2) ? Value::Null() : Value::Int(rng.Range(0, 3));
+    rows.push_back({Value::String(StrCat("n", rng.Range(0, 9))),
+                    Value::Int(b), std::move(grp), Value::Int(e)});
+  }
+  auto expect_stored = [](const TemporalDB& db, const std::string& context) {
+    const Relation& stored = db.catalog().Get("t");
+    ASSERT_TRUE(stored.is_columnar()) << context;
+    for (size_t col : {size_t{1}, size_t{3}}) {
+      EXPECT_EQ(stored.col(col).tag(), ColumnTag::kInt) << context;
+      EXPECT_FALSE(stored.col(col).has_nulls()) << context;
+    }
+  };
+
+  TemporalDB by_row(kExampleDomain);
+  ASSERT_TRUE(by_row.CreatePeriodTable("t", columns, "vb", "ve").ok());
+  expect_stored(by_row, "created");
+  for (const Row& row : rows) {
+    ASSERT_TRUE(by_row.Insert("t", row).ok());
+    expect_stored(by_row, "insert");
+  }
+
+  TemporalDB by_batch(kExampleDomain);
+  ASSERT_TRUE(by_batch.CreatePeriodTable("t", columns, "vb", "ve").ok());
+  for (size_t i = 0; i < rows.size();) {
+    size_t n = std::min(rows.size() - i, size_t{1} + rng.Uniform(16));
+    ASSERT_TRUE(by_batch
+                    .InsertRows("t", std::vector<Row>(rows.begin() + i,
+                                                      rows.begin() + i + n))
+                    .ok());
+    expect_stored(by_batch, "batch");
+    i += n;
+  }
+
+  TemporalDB by_put(kExampleDomain);
+  ASSERT_TRUE(by_put
+                  .PutPeriodTable("t",
+                                  Relation(Schema::FromNames(columns), rows),
+                                  "vb", "ve")
+                  .ok());
+  expect_stored(by_put, "put");
+
+  const Relation& want = by_row.catalog().Get("t");
+  const std::string want_stats = by_row.catalog().GetStats("t")->ToString();
+  for (const TemporalDB* db : {&by_batch, &by_put}) {
+    const Relation& got = db->catalog().Get("t");
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(got.rows(), want.rows());
+    EXPECT_EQ(db->catalog().GetStats("t")->ToString(), want_stats);
+  }
+  for (TimePoint t = kExampleDomain.tmin; t < kExampleDomain.tmax; ++t) {
+    const std::string sql =
+        StrCat("SEQ VT AS OF ", t, " (SELECT name, grp FROM t)");
+    auto want_query = by_row.Query(sql);
+    auto want_slice = by_row.Timeslice("t", t);
+    ASSERT_TRUE(want_query.ok()) << want_query.status().ToString();
+    ASSERT_TRUE(want_slice.ok()) << want_slice.status().ToString();
+    for (const TemporalDB* db : {&by_batch, &by_put}) {
+      auto got_query = db->Query(sql);
+      auto got_slice = db->Timeslice("t", t);
+      ASSERT_TRUE(got_query.ok()) << got_query.status().ToString();
+      ASSERT_TRUE(got_slice.ok()) << got_slice.status().ToString();
+      EXPECT_EQ(got_query->rows(), want_query->rows()) << "t=" << t;
+      EXPECT_EQ(got_slice->rows(), want_slice->rows()) << "t=" << t;
+    }
+  }
 }
 
 }  // namespace

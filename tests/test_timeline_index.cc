@@ -33,6 +33,7 @@ Relation EncodedRelation(const std::vector<std::array<int64_t, 4>>& rows) {
     rel.AddRow({Value::Int(r[0]), Value::Int(r[1]), Value::Int(r[2]),
                 Value::Int(r[3])});
   }
+  rel.ToColumnar();  // stored-table layout, the one the index accepts
   return rel;
 }
 
@@ -114,20 +115,39 @@ TEST(TimelineIndexTest, RefusesNonIntegerEndpointsAndNarrowSchemas) {
   // silently differ, so Build refuses and callers keep the scan.
   Relation rel(Schema::FromNames({"a", "a_begin", "a_end"}));
   rel.AddRow({Value::Int(1), Value::Int(0), Value::Null()});
+  rel.ToColumnar();
   EXPECT_EQ(TimelineIndex::Build(
                 std::make_shared<const Relation>(std::move(rel))),
             nullptr);
 
   Relation text(Schema::FromNames({"a", "a_begin", "a_end"}));
   text.AddRow({Value::Int(1), Value::String("x"), Value::Int(3)});
+  text.ToColumnar();
   EXPECT_EQ(TimelineIndex::Build(
                 std::make_shared<const Relation>(std::move(text))),
             nullptr);
 
   Relation narrow(Schema::FromNames({"only"}));
+  narrow.ToColumnar();
   EXPECT_EQ(TimelineIndex::Build(
                 std::make_shared<const Relation>(std::move(narrow))),
             nullptr);
+}
+
+TEST(TimelineIndexTest, RefusesRowStoredSources) {
+  // Stored tables are columnar by construction; a row-stored relation
+  // is refused even with well-formed endpoints, by Build and WithDelta.
+  Relation rows(Schema::FromNames({"a", "a_begin", "a_end"}));
+  rows.AddRow({Value::Int(1), Value::Int(0), Value::Int(3)});
+  Relation encoded = rows;
+  encoded.ToColumnar();
+  auto base = TimelineIndex::Build(
+      std::make_shared<const Relation>(std::move(encoded)));
+  ASSERT_NE(base, nullptr);
+  rows.AddRow({Value::Int(2), Value::Int(1), Value::Int(4)});
+  auto row_stored = std::make_shared<const Relation>(std::move(rows));
+  EXPECT_EQ(TimelineIndex::Build(row_stored), nullptr);
+  EXPECT_EQ(TimelineIndex::WithDelta(base, row_stored), nullptr);
 }
 
 TEST(TimelineIndexTest, AliveInRangeMatchesBruteForce) {
@@ -136,6 +156,7 @@ TEST(TimelineIndexTest, AliveInRangeMatchesBruteForce) {
     Catalog catalog =
         RandomEncodedCatalog(&rng, kDomain, /*max_rows=*/20, 0.0,
                              /*empty_validity_chance=*/0.2);
+    EncodeTables(&catalog);
     auto rel = catalog.GetShared("r");
     int64_t k = static_cast<int64_t>(rng.Uniform(6)) + 1;
     auto index = TimelineIndex::Build(rel, k);
@@ -163,6 +184,7 @@ TEST(TimelineIndexTest, RandomTablesRowExactAcrossCheckpointIntervals) {
     Catalog catalog =
         RandomEncodedCatalog(&rng, kDomain, /*max_rows=*/24, 0.0,
                              /*empty_validity_chance=*/0.15);
+    EncodeTables(&catalog);
     for (const char* name : {"r", "s"}) {
       auto rel = catalog.GetShared(name);
       // K = 1 checkpoints after every event; the last K is far beyond
@@ -186,6 +208,7 @@ TEST(TimelineIndexTest, RandomTablesRowExactAcrossCheckpointIntervals) {
 TEST(TimelineIndexExecTest, RoutesTimesliceOverScanThroughIndex) {
   Rng rng(0xe0e0e0);
   Catalog catalog = RandomEncodedCatalog(&rng, kDomain, 20);
+  EncodeTables(&catalog);
   auto rel = catalog.GetShared("r");
   catalog.PutIndex("r", TimelineIndex::Build(rel));
   PlanPtr plan = MakeTimeslice(
@@ -228,6 +251,7 @@ TEST(TimelineIndexExecTest, StaleOrMislayoutedIndexFallsBackToScan) {
   // An index over non-trailing endpoint columns never serves kTimeslice.
   Relation odd(Schema::FromNames({"vb", "ve", "x"}));
   odd.AddRow({Value::Int(0), Value::Int(9), Value::Int(1)});
+  odd.ToColumnar();
   catalog.Put("odd", std::move(odd));
   auto odd_index = TimelineIndex::Build(catalog.GetShared("odd"), 0, 1);
   ASSERT_NE(odd_index, nullptr);
@@ -342,6 +366,7 @@ TEST(TimeslicePushdownTest, NonTrailingPeriodTableReachesScanAndIndex) {
     rel.AddRow({Value::Int(b), Value::Int(e), Value::Int(rng.Range(0, 5)),
                 Value::Int(rng.Range(0, 5))});
   }
+  rel.ToColumnar();
   catalog.Put("p", std::move(rel));
   catalog.PutIndex(
       "p", TimelineIndex::Build(catalog.GetShared("p"), /*begin_col=*/0,
@@ -376,6 +401,7 @@ TEST(TimeslicePushdownTest, PushedPlansStayBagEqualOnRandomQueries) {
     ASSERT_EQ(pushed->schema.size(), sliced->schema.size());
     // Give the pushed plan real indexes so Timeslice-over-scan nodes
     // take the indexed route.
+    EncodeTables(&catalog);
     catalog.PutIndex("r", TimelineIndex::Build(catalog.GetShared("r")));
     catalog.PutIndex("s", TimelineIndex::Build(catalog.GetShared("s")));
     Relation a = Execute(sliced, catalog);

@@ -11,6 +11,13 @@ Checks invariants that neither the compiler nor clang-tidy can express:
           // periodk-lint: columnar-lane-begin(<name>)
           // periodk-lint: columnar-lane-end(<name>)
 
+  row-view-in-stored-table-code
+      Code that only ever reads stored tables -- everything under
+      src/stats/ and src/engine/timeline_index.cc -- must not touch the
+      row view at all: rows() / mutable_rows() / AddRow / Reserve.
+      Stored tables are columnar by construction (the middleware's one
+      publish path encodes them), so a row lane there is dead code.
+
   naked-mutex
       src/ code must use the annotated wrappers from
       common/thread_annotations.h (Mutex, SharedMutex, MutexLock, ...)
@@ -54,6 +61,11 @@ LANE_BEGIN_RE = re.compile(r"periodk-lint:\s*columnar-lane-begin\(([\w-]+)\)")
 LANE_END_RE = re.compile(r"periodk-lint:\s*columnar-lane-end\(([\w-]+)\)")
 
 ROW_API_RE = re.compile(r"\.rows\(\)|\bAddRow\s*\(|\bmutable_rows\s*\(")
+# The whole row-view API, either member-access form.
+ROW_VIEW_RE = re.compile(
+    r"(?:\.|->)\s*rows\s*\(\s*\)|\b(?:mutable_rows|AddRow|Reserve)\s*\(")
+# Code that reads only stored (always columnar) tables.
+STORED_TABLE_CODE = ("stats/", "engine/timeline_index.cc")
 NAKED_MUTEX_RE = re.compile(
     r"std::(?:recursive_|shared_|timed_)?mutex\b"
     r"|std::condition_variable(?:_any)?\b"
@@ -175,6 +187,18 @@ def check_columnar_lanes(path, rel, lines, findings):
             f"lane '{lane[0]}' is never closed"))
 
 
+def check_stored_table_code(path, rel, stripped_lines, findings):
+    if not rel.startswith(STORED_TABLE_CODE):
+        return
+    for idx, line in enumerate(stripped_lines, start=1):
+        m = ROW_VIEW_RE.search(line)
+        if m is not None:
+            findings.append(Finding(
+                path, idx, "row-view-in-stored-table-code",
+                f"{m.group(0).strip()} in code that reads only stored "
+                "tables, which are always columnar"))
+
+
 def check_naked_mutex(path, rel, stripped_lines, findings):
     if any(rel.endswith(e) for e in MUTEX_EXEMPT):
         return
@@ -226,6 +250,7 @@ def lint_file(path, rel):
     stripped_lines = stripped.splitlines()
     allows = collect_allows(lines, findings, path)
     check_columnar_lanes(path, rel, lines, findings)
+    check_stored_table_code(path, rel, stripped_lines, findings)
     check_naked_mutex(path, rel, stripped_lines, findings)
     check_relation_by_value(path, stripped, findings)
     check_missing_nodiscard(path, rel, stripped, findings)
@@ -265,6 +290,10 @@ void Kernel(const Relation& input) {
 }
 // periodk-lint: columnar-lane-end(demo)
 """,
+    "src/stats/stored_bad.cc": """\
+// A comment naming rows() does not fire; the call below does.
+size_t Count(const Relation& rel) { return rel.rows().size(); }
+""",
     "src/common/mutex_bad.cc": """\
 #include <mutex>
 std::mutex raw_mu;
@@ -286,6 +315,7 @@ Status Flush();
 
 SELF_TEST_EXPECT = {
     ("lane_bad.cc", "row-api-in-columnar-lane"): 1,
+    ("stored_bad.cc", "row-view-in-stored-table-code"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
     ("byvalue_bad.h", "relation-by-value"): 1,
     ("nodiscard_bad.h", "missing-nodiscard"): 1,
