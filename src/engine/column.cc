@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -141,6 +142,138 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
       for (size_t i = 0; i < rows.size(); ++i) {
         out.mixed_.push_back(rows[i][col]);
         if (nulls > 0 && !rows[i][col].is_null()) out.SetValid(i);
+      }
+      break;
+  }
+  return out;
+}
+
+ColumnData ColumnData::Append(const ColumnData& head,
+                              const std::vector<Row>& rows, size_t col) {
+  ColumnData tail = Encode(rows, col);
+  if (head.size_ == 0) return tail;
+  const size_t n = head.size_;
+  ColumnData out;
+  out.size_ = n + tail.size_;
+  out.null_count_ = head.null_count_ + tail.null_count_;
+  // Encode's tag over all rows: a part without non-null cells adds no
+  // type; two typed parts keep their tag only when they agree.
+  const bool head_values = head.null_count_ < n;
+  const bool tail_values = tail.null_count_ < tail.size_;
+  if (!head_values) {
+    out.tag_ = tail.tag_;
+  } else if (!tail_values || head.tag_ == tail.tag_) {
+    out.tag_ = head.tag_;
+  } else {
+    out.tag_ = ColumnTag::kMixed;
+  }
+  out.has_nan_ = out.tag_ == ColumnTag::kDouble &&
+                 (head.has_nan_ || tail.has_nan_);
+
+  if (out.null_count_ > 0) {
+    out.InitValidity();
+    if (head.has_nulls()) {
+      std::copy(head.validity_.begin(), head.validity_.end(),
+                out.validity_.begin());
+    } else {
+      std::fill_n(out.validity_.begin(), n / 64, ~uint64_t{0});
+      if (n % 64 != 0) out.validity_[n / 64] = (uint64_t{1} << (n % 64)) - 1;
+    }
+    for (size_t j = 0; j < tail.size_; ++j) {
+      if (!tail.IsNull(j)) out.SetValid(n + j);
+    }
+  }
+
+  // Both parts' payloads back to back at exact capacity.  A part of
+  // another tag holds no values, so it contributes Encode's zero
+  // placeholders.
+  const ColumnData* const parts[] = {&head, &tail};
+  auto concat = [&](auto member) {
+    using Vec = std::remove_cvref_t<decltype(head.*member)>;
+    Vec v;
+    v.reserve(out.size_);
+    for (const ColumnData* part : parts) {
+      if (part->tag_ == out.tag_) {
+        v.insert(v.end(), (part->*member).begin(), (part->*member).end());
+      } else {
+        v.resize(v.size() + part->size_);
+      }
+    }
+    return v;
+  };
+  switch (out.tag_) {
+    case ColumnTag::kInt:
+      out.ints_ = concat(&ColumnData::ints_);
+      break;
+    case ColumnTag::kDouble:
+      out.doubles_ = concat(&ColumnData::doubles_);
+      break;
+    case ColumnTag::kBool:
+      out.bools_ = concat(&ColumnData::bools_);
+      break;
+    case ColumnTag::kString: {
+      // Code maps into the merged dictionary; empty = codes unchanged.
+      std::vector<uint32_t> head_map, tail_map;
+      const bool head_dict = head.tag_ == ColumnTag::kString;
+      const bool tail_dict = tail.tag_ == ColumnTag::kString;
+      out.dict_ = head_dict ? head.dict_ : tail.dict_;
+      if (head_dict && tail_dict) {
+        const std::vector<std::string>& a = head.dict_->values();
+        const std::vector<std::string>& b = tail.dict_->values();
+        tail_map.resize(b.size());
+        bool all_known = true;
+        for (size_t k = 0; k < b.size() && all_known; ++k) {
+          auto it = std::lower_bound(a.begin(), a.end(), b[k]);
+          all_known = it != a.end() && *it == b[k];
+          tail_map[k] = static_cast<uint32_t>(it - a.begin());
+        }
+        if (!all_known) {
+          // Sorted union; both inputs are sorted and duplicate-free.
+          std::vector<std::string> merged;
+          merged.reserve(a.size() + b.size());
+          head_map.resize(a.size());
+          size_t i = 0, k = 0;
+          while (i < a.size() || k < b.size()) {
+            const auto code = static_cast<uint32_t>(merged.size());
+            const bool take_a = k == b.size() || (i < a.size() && a[i] <= b[k]);
+            const bool take_b = i == a.size() || (k < b.size() && b[k] <= a[i]);
+            merged.push_back(take_a ? a[i] : b[k]);
+            if (take_a) head_map[i++] = code;
+            if (take_b) tail_map[k++] = code;
+          }
+          out.dict_ = std::make_shared<const StringDict>(std::move(merged));
+        }
+      }
+      out.codes_.reserve(out.size_);
+      const std::vector<uint32_t>* const maps[] = {&head_map, &tail_map};
+      for (size_t p = 0; p < 2; ++p) {
+        const ColumnData* part = parts[p];
+        const std::vector<uint32_t>* map = maps[p];
+        if (part->tag_ != ColumnTag::kString) {
+          out.codes_.resize(out.codes_.size() + part->size_);
+        } else if (map->empty()) {
+          out.codes_.insert(out.codes_.end(), part->codes_.begin(),
+                            part->codes_.end());
+        } else {
+          for (size_t i = 0; i < part->size_; ++i) {
+            out.codes_.push_back(part->IsNull(i) ? 0
+                                                 : (*map)[part->codes_[i]]);
+          }
+        }
+      }
+      break;
+    }
+    case ColumnTag::kMixed:
+      out.mixed_.reserve(out.size_);
+      for (const ColumnData* part : parts) {
+        if (part->tag_ == ColumnTag::kMixed) {
+          out.mixed_.insert(out.mixed_.end(), part->mixed_.begin(),
+                            part->mixed_.end());
+        } else {
+          for (size_t i = 0; i < part->size_; ++i) {
+            out.mixed_.push_back(part->Get(i));
+          }
+        }
       }
       break;
   }

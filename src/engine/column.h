@@ -52,6 +52,17 @@ class ColumnData {
   /// column encodes as kInt with an all-invalid bitmap).
   static ColumnData Encode(const std::vector<Row>& rows, size_t col);
 
+  /// Column `col` of `rows` appended after `head`: equal in every field
+  /// (tag, null count, NaN flag, dictionary, codes, payload) to Encode
+  /// over head's rows followed by `rows`, but only `rows` is encoded
+  /// (Encode on the batch); head's payload is copied once into vectors
+  /// of exact capacity.  A batch of another type widens the result to
+  /// the tag Encode would pick over all rows.  New strings merge into
+  /// the sorted dictionary and head's codes are remapped; a batch with
+  /// no new string shares head's dictionary.
+  static ColumnData Append(const ColumnData& head, const std::vector<Row>& rows,
+                           size_t col);
+
   /// A column of raw int64s with no NULLs (kernel interval outputs).
   static ColumnData FromInts(std::vector<int64_t> values);
 

@@ -29,6 +29,22 @@ Relation Relation::FromColumns(Schema schema, std::vector<ColumnData> columns,
   return out;
 }
 
+Relation Relation::Append(const Relation& base, const std::vector<Row>& rows) {
+  if (!base.columnar_) {
+    throw EngineError("Append: the base relation must be columnar");
+  }
+  for (const Row& row : rows) {
+    if (row.size() != base.schema_.size()) base.ThrowArityMismatch(row.size());
+  }
+  std::vector<ColumnData> columns;
+  columns.reserve(base.columns_.size());
+  for (size_t c = 0; c < base.columns_.size(); ++c) {
+    columns.push_back(ColumnData::Append(base.columns_[c], rows, c));
+  }
+  return FromColumns(base.schema_, std::move(columns),
+                     base.num_rows_ + rows.size());
+}
+
 Relation::Relation(const Relation& other)
     : schema_(other.schema_),
       columns_(other.columns_),
@@ -123,7 +139,7 @@ void Relation::DecayToRows() {
 }
 
 void Relation::ThrowArityMismatch(size_t got) const {
-  throw EngineError(StrCat("AddRow: row has ", got, " values but schema ",
+  throw EngineError(StrCat("row has ", got, " values but schema ",
                            schema_.ToString(), " has ", schema_.size(),
                            " columns"));
 }

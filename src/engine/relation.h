@@ -42,6 +42,14 @@ class Relation {
   [[nodiscard]] static Relation FromColumns(
       Schema schema, std::vector<ColumnData> columns, size_t num_rows);
 
+  /// `base` (columnar) with `rows` appended, as a new columnar relation
+  /// whose columns are ColumnData::Append of base's columns and the
+  /// batch: only the new rows are encoded.  The result starts without a
+  /// row view; base's cached one is neither copied nor inherited.
+  /// Throws EngineError on a row-stored base or an arity mismatch.
+  [[nodiscard]] static Relation Append(const Relation& base,
+                                       const std::vector<Row>& rows);
+
   // Copyable and movable despite the view-cache synchronization
   // members.  Copying from a shared columnar relation is safe while
   // other threads materialize its row view: the copy takes the row

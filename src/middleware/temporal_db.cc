@@ -272,6 +272,7 @@ Status TemporalDB::Publish(const std::string& name, WriteKind kind,
                            std::vector<Row> rows) {
   MutexLock writer_lock(writer_mu_);
   std::shared_ptr<const Relation> current;
+  std::shared_ptr<const TableStats> old_stats;
   std::shared_ptr<const TimelineIndex> old_index;
   // writer_mu_ alone would suffice for these reads (only writers modify
   // the catalog and they serialize), but "either of two locks" is not
@@ -286,6 +287,7 @@ Status TemporalDB::Publish(const std::string& name, WriteKind kind,
     if (kind == WriteKind::kAppend) {
       if (!exists) return Status::NotFound(StrCat("unknown table: ", name));
       current = catalog_.GetShared(name);
+      old_stats = catalog_.GetStats(name);
       old_index = catalog_.GetIndex(name);
       auto pt = period_tables_.find(name);
       if (pt != period_tables_.end()) period = pt->second;
@@ -304,13 +306,15 @@ Status TemporalDB::Publish(const std::string& name, WriteKind kind,
   if (kind == WriteKind::kAppend && rows.empty()) return Status::OK();
 
   // Build the new state outside the reader lock: copy-on-write leaves
-  // the relation that pinned snapshots hold untouched.
-  Relation next = current != nullptr ? Relation(*current) : std::move(base);
-  if (!rows.empty()) {
-    next.Reserve(next.size() + rows.size());
-    for (Row& row : rows) next.AddRow(std::move(row));
+  // the relation that pinned snapshots hold untouched.  An append
+  // copies the stored columns and encodes only the batch.
+  Relation next;
+  if (kind == WriteKind::kAppend) {
+    next = Relation::Append(*current, rows);
+  } else {
+    next = std::move(base);
+    next.ToColumnar();
   }
-  next.ToColumnar();
   int begin_idx = -1;
   int end_idx = -1;
   if (period.has_value()) {
@@ -322,8 +326,12 @@ Status TemporalDB::Publish(const std::string& name, WriteKind kind,
     }
   }
   auto relation = std::make_shared<const Relation>(std::move(next));
+  // Every publication stores stats built for its relation, so an append
+  // merges the batch into them.
   std::shared_ptr<const TableStats> stats =
-      TableStats::Collect(relation, begin_idx, end_idx);
+      kind == WriteKind::kAppend
+          ? TableStats::Merge(*old_stats, relation)
+          : TableStats::Collect(relation, begin_idx, end_idx);
   // Index maintenance rides the same publication: an append turns the
   // old index plus the new rows into a differential index (or, past the
   // threshold, a freshly folded one).  Created and replaced tables have

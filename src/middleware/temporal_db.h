@@ -309,11 +309,13 @@ class TemporalDB {
     kAppend,   // the table must exist; the rows are appended to it
   };
   /// The one publish path every writer ends in.  Under writer_mu_ it
-  /// checks existence against `kind`, copies the base (the current
-  /// table for kAppend, else `base`), appends `rows` (every arity is
-  /// checked first, so the write is atomic), encodes the result as
-  /// columns, rejects a non-integer or NULL period endpoint with
-  /// InvalidArgument, collects stats, maintains the timeline index, and
+  /// checks existence against `kind` and every arity of `rows` (so the
+  /// write is atomic), builds the new relation -- kAppend copies the
+  /// current table's columns and encodes only `rows`
+  /// (Relation::Append); otherwise `base` is encoded as columns --
+  /// rejects a non-integer or NULL period endpoint with
+  /// InvalidArgument, merges the batch into the current stats
+  /// (kAppend) or collects them, maintains the timeline index, and
   /// swaps relation, stats and index into the catalog in one exclusive
   /// section.  Then it invalidates cached plans and schedules any
   /// background compaction.  `period` names the endpoint columns of a

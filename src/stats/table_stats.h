@@ -1,12 +1,13 @@
 // Per-table statistics for cost-based planning (docs/architecture.md
 // §11).  A TableStats is collected in one columnar pass when a writer
-// publishes a relation, stored in the Catalog as a
+// publishes a relation (or, for an append, merged from the previous
+// version's stats and the appended rows), stored in the Catalog as a
 // shared_ptr<const TableStats> slot alongside the relation and its
 // timeline index, and consumed by ra/cost_model.h at plan time.  The
-// object is immutable after Collect and pinned to the exact Relation
-// object it was built from (BuiltFor, mirroring TimelineIndex), so a
-// stats handle can never describe a different table version than the
-// relation published with it.
+// object is immutable after Collect / Merge and pinned to the exact
+// Relation object it was built from (BuiltFor, mirroring
+// TimelineIndex), so a stats handle can never describe a different
+// table version than the relation published with it.
 #ifndef PERIODK_STATS_TABLE_STATS_H_
 #define PERIODK_STATS_TABLE_STATS_H_
 
@@ -55,6 +56,21 @@ class TableStats {
       std::shared_ptr<const Relation> source, int begin_col = -1,
       int end_col = -1);
 
+  /// Statistics of `appended`, which must be previous's source with rows
+  /// appended (a copy-on-write append), built from `previous` plus the
+  /// appended rows only: row and null counts, integer ranges and the
+  /// interval profile add up, and `distinct` stays exact as previous +
+  /// batch - overlap.  The overlap is one pass over the old rows probing
+  /// the batch's distinct keys; a string column whose previous
+  /// dictionary holds exactly its values answers it by dictionary
+  /// lookup instead.  Mixed and NaN-holding columns, where Value
+  /// equality is not an equivalence, are recounted.  The result equals
+  /// Collect(appended, begin_col(), end_col()) and is BuiltFor
+  /// `appended`.  Throws EngineError when `appended` is not columnar,
+  /// has another arity, or is shorter than previous's source.
+  [[nodiscard]] static std::shared_ptr<const TableStats> Merge(
+      const TableStats& previous, std::shared_ptr<const Relation> appended);
+
   /// True iff these stats were built from exactly this relation object
   /// (pointer identity, like TimelineIndex::BuiltFor).  The collected
   /// source handle is retained, so the pointer can never be reused by a
@@ -100,6 +116,11 @@ class TableStats {
 
  private:
   TableStats() = default;
+  TableStats(const TableStats&) = default;
+
+  /// Adds the well-formed intervals of rows [from, size) of `rel` to
+  /// the interval profile.
+  void ObserveIntervals(const Relation& rel, size_t from);
 
   std::shared_ptr<const Relation> source_;
   int64_t row_count_ = 0;

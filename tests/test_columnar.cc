@@ -90,6 +90,51 @@ TEST(ColumnDataTest, PackedKeysMatchValueEquality) {
   EXPECT_FALSE(FastKeyable(ColumnData::Encode(nan_rows, 0)));
 }
 
+TEST(ColumnDataTest, AppendEncodesTheBatchAndMatchesEncode) {
+  std::vector<Row> rows = {{Value::String("m"), Value::Int(1)},
+                           {Value::String("c"), Value::Int(2)}};
+  ColumnData strings = ColumnData::Encode(rows, 0);
+  ColumnData ints = ColumnData::Encode(rows, 1);
+  auto expect_encoded = [&rows](const ColumnData& got, size_t c) {
+    ColumnData want = ColumnData::Encode(rows, c);
+    ASSERT_EQ(got.tag(), want.tag());
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(got.null_count(), want.null_count());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.Get(i), want.Get(i)) << "row " << i;
+      if (want.tag() == ColumnTag::kString) {
+        EXPECT_EQ(got.codes()[i], want.codes()[i]) << "row " << i;
+      }
+    }
+    if (want.tag() == ColumnTag::kString) {
+      EXPECT_EQ(got.dict()->values(), want.dict()->values());
+    }
+  };
+
+  // No new string: the head's dictionary is shared, not rebuilt.
+  std::vector<Row> known = {{Value::String("m"), Value::Null()}};
+  ColumnData shared = ColumnData::Append(strings, known, 0);
+  EXPECT_EQ(shared.dict().get(), strings.dict().get());
+  ColumnData with_null = ColumnData::Append(ints, known, 1);
+  rows.insert(rows.end(), known.begin(), known.end());
+  expect_encoded(shared, 0);
+  expect_encoded(with_null, 1);
+  EXPECT_EQ(with_null.null_count(), 1u);
+
+  // New strings before, between and after: merged dictionary, head
+  // codes remapped.  A double next to ints widens to mixed.
+  std::vector<Row> fresh = {{Value::String("z"), Value::Double(0.5)},
+                            {Value::String("a"), Value::Int(3)},
+                            {Value::String("e"), Value::Null()}};
+  ColumnData merged = ColumnData::Append(shared, fresh, 0);
+  ColumnData widened = ColumnData::Append(with_null, fresh, 1);
+  rows.insert(rows.end(), fresh.begin(), fresh.end());
+  expect_encoded(merged, 0);
+  expect_encoded(widened, 1);
+  EXPECT_EQ(merged.dict()->size(), 5u);
+  EXPECT_EQ(widened.tag(), ColumnTag::kMixed);
+}
+
 // --- Relation: dual storage ------------------------------------------------
 
 Relation MixedRelation() {

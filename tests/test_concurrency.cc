@@ -5,11 +5,19 @@
 // no mixed schemas, no crashes.  Run under TSan/ASan in CI; the
 // assertions here are linearizability checks that hold on any schedule.
 #include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/str_util.h"
+#include "engine/column.h"
+#include "engine/temporal_ops.h"
+#include "engine/timeline_index.h"
 #include "middleware/temporal_db.h"
 
 namespace periodk {
@@ -273,6 +281,128 @@ TEST(ConcurrencyTest, IndexedReadsRaceStreamingWritesAndCompaction) {
   EXPECT_EQ(scanned->size(), indexed->size());
   IndexMaintenanceStats stats = db.index_maintenance_stats();
   EXPECT_GT(stats.delta_publishes, 0) << stats.ToString();
+}
+
+// The bytes of a column's typed payload (the columns below are never
+// mixed).
+std::pair<const char*, size_t> PayloadBytes(const ColumnData& col) {
+  switch (col.tag()) {
+    case ColumnTag::kInt:
+      return {reinterpret_cast<const char*>(col.ints()),
+              col.size() * sizeof(int64_t)};
+    case ColumnTag::kDouble:
+      return {reinterpret_cast<const char*>(col.doubles()),
+              col.size() * sizeof(double)};
+    case ColumnTag::kBool:
+      return {reinterpret_cast<const char*>(col.bools()), col.size()};
+    case ColumnTag::kString:
+      return {reinterpret_cast<const char*>(col.codes()),
+              col.size() * sizeof(uint32_t)};
+    case ColumnTag::kMixed:
+      break;
+  }
+  ADD_FAILURE() << "unexpected mixed column";
+  return {nullptr, 0};
+}
+
+// Copy-on-write appends never touch a published version: readers that
+// pinned one keep seeing its exact columns and AS-OF answers while a
+// writer appends to the table, and no appended version shares a payload
+// buffer with it (string dictionaries are immutable and may be shared).
+TEST(ConcurrencyTest, PinnedVersionIsUnchangedByConcurrentAppends) {
+  TemporalDB db(TimeDomain{0, 1000});
+  ASSERT_TRUE(
+      db.CreatePeriodTable("t", {"k", "s", "ts", "te"}, "ts", "te").ok());
+  std::vector<Row> initial;
+  for (int64_t i = 0; i < 500; ++i) {
+    initial.push_back({Value::Int(i % 37), Value::String(StrCat("s", i % 11)),
+                       Value::Int(i % 300), Value::Int(i % 300 + 1 + i % 50)});
+  }
+  ASSERT_TRUE(db.InsertRows("t", std::move(initial)).ok());
+  // Warm the index so every append maintains it differentially.
+  ASSERT_TRUE(db.Timeslice("t", 50).ok());
+
+  // Pinned before any other thread runs, so the unsynchronized catalog
+  // access is safe.
+  const std::shared_ptr<const Relation> pinned = db.catalog().GetShared("t");
+  const std::shared_ptr<const TimelineIndex> pinned_index =
+      db.catalog().GetIndex("t");
+  ASSERT_NE(pinned_index, nullptr);
+  const std::vector<ColumnData> before = pinned->columns();
+  const std::vector<TimePoint> times = {0, 50, 149, 299, 340, 999};
+  std::vector<std::vector<Row>> want;
+  for (TimePoint t : times) {
+    want.push_back(TimesliceEncodedAt(*pinned, t, 2, 3).rows());
+  }
+
+  constexpr int kAppends = 120;
+  // Only the writer touches the catalog while it runs; readers use the
+  // pinned handles alone.
+  std::vector<std::shared_ptr<const Relation>> versions;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t i = 0; i < kAppends; ++i) {
+      std::vector<Row> batch;
+      for (int64_t j = 0; j < (i % 4 == 0 ? 8 : 1); ++j) {
+        // Some rows bring new strings, so the dictionary is re-merged.
+        batch.push_back({Value::Int(i), Value::String(StrCat("n", i % 7, j)),
+                         Value::Int(i), Value::Int(i + 60)});
+      }
+      Status status = batch.size() == 1
+                          ? db.Insert("t", std::move(batch.front()))
+                          : db.InsertRows("t", std::move(batch));
+      if (!status.ok()) {
+        ADD_FAILURE() << status.ToString();
+        break;
+      }
+      versions.push_back(db.catalog().GetShared("t"));
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      for (int iters = 0; !done.load() || iters < 20; ++iters) {
+        for (size_t j = 0; j < times.size(); ++j) {
+          ASSERT_EQ(TimesliceEncodedAt(*pinned, times[j], 2, 3).rows(),
+                    want[j])
+              << "reader " << r << " scan t=" << times[j];
+          ASSERT_EQ(pinned_index->Timeslice(times[j]).rows(), want[j])
+              << "reader " << r << " index t=" << times[j];
+        }
+        if (iters > 2000) break;  // bound runtime on slow schedules
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+
+  ASSERT_EQ(versions.size(), static_cast<size_t>(kAppends));
+  EXPECT_EQ(versions.back()->size(), 500u + 30u * 8u + 90u);
+  ASSERT_EQ(pinned->size(), 500u);
+  for (size_t c = 0; c < before.size(); ++c) {
+    const ColumnData& col = pinned->col(c);
+    ASSERT_EQ(col.tag(), before[c].tag()) << "column " << c;
+    EXPECT_EQ(col.null_count(), before[c].null_count()) << "column " << c;
+    auto [got, got_len] = PayloadBytes(col);
+    auto [was, was_len] = PayloadBytes(before[c]);
+    ASSERT_EQ(got_len, was_len) << "column " << c;
+    EXPECT_EQ(std::memcmp(got, was, got_len), 0) << "column " << c;
+    if (col.tag() == ColumnTag::kString) {
+      EXPECT_EQ(col.dict()->values(), before[c].dict()->values());
+    }
+    for (const std::shared_ptr<const Relation>& version : versions) {
+      auto [ptr, len] = PayloadBytes(version->col(c));
+      const auto lo = reinterpret_cast<uintptr_t>(ptr);
+      const auto pinned_lo = reinterpret_cast<uintptr_t>(got);
+      EXPECT_TRUE(lo + len <= pinned_lo || pinned_lo + got_len <= lo)
+          << "an appended version aliases column " << c;
+    }
+  }
+  for (size_t j = 0; j < times.size(); ++j) {
+    EXPECT_EQ(TimesliceEncodedAt(*pinned, times[j], 2, 3).rows(), want[j]);
+    EXPECT_EQ(pinned_index->Timeslice(times[j]).rows(), want[j]);
+  }
 }
 
 }  // namespace

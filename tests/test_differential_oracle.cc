@@ -181,16 +181,20 @@ std::vector<std::string> ApplyMidInsertsWithIndexes(FuzzCase* c) {
     int b = table == "p" ? 0 : arity - 2;
     int e = table == "p" ? 2 : arity - 1;
     // Stored tables are columnar: index an encoded copy of the base and
-    // publish the grown table encoded, like the middleware does.
+    // grow it like the middleware's append does -- encode only the new
+    // rows, and merge them into the table's stats when it has some.
     Relation old_encoded = *old_rel;
     old_encoded.ToColumnar();
-    std::shared_ptr<const TimelineIndex> old_index = TimelineIndex::Build(
-        std::make_shared<const Relation>(std::move(old_encoded)), b, e);
-    Relation next = *old_rel;
-    for (const Row& row : rows) next.AddRow(Row(row));
-    next.ToColumnar();
-    auto next_shared = std::make_shared<const Relation>(std::move(next));
+    auto old_shared = std::make_shared<const Relation>(std::move(old_encoded));
+    std::shared_ptr<const TimelineIndex> old_index =
+        TimelineIndex::Build(old_shared, b, e);
+    auto next_shared =
+        std::make_shared<const Relation>(Relation::Append(*old_shared, rows));
+    std::shared_ptr<const TableStats> old_stats = c->catalog.GetStats(table);
     c->catalog.PutShared(table, next_shared);
+    if (old_stats != nullptr) {
+      c->catalog.PutStats(table, TableStats::Merge(*old_stats, next_shared));
+    }
     if (old_index != nullptr) {
       auto with_delta = TimelineIndex::WithDelta(old_index, next_shared);
       // Appended endpoints are integers by construction, so the delta

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "baseline/naive.h"
 #include "common/rng.h"
 #include "common/str_util.h"
+#include "engine/column.h"
 #include "stats/table_stats.h"
 #include "tests/running_example.h"
 
@@ -507,6 +512,161 @@ TEST(MiddlewareTest, BadPeriodEndpointIsRejectedAndLeavesTableUsable) {
       db.Insert("w", {Value::String("Gil"), Value::Int(-5), Value::Int(99)})
           .ok());
   EXPECT_EQ(db.catalog().Get("w").size(), 2u);
+}
+
+// Field-for-field equality with ColumnData::Encode over `rows`: tag,
+// size, null count, NaN flag, validity, dictionary, codes and payload
+// (doubles bitwise, so NaN and -0.0 count).
+void ExpectEncodedFrom(const ColumnData& got, const std::vector<Row>& rows,
+                       size_t c, const std::string& context) {
+  const ColumnData want = ColumnData::Encode(rows, c);
+  ASSERT_EQ(got.tag(), want.tag()) << context;
+  ASSERT_EQ(got.size(), want.size()) << context;
+  EXPECT_EQ(got.null_count(), want.null_count()) << context;
+  EXPECT_EQ(got.has_nan(), want.has_nan()) << context;
+  const size_t n = want.size();
+  std::vector<bool> got_nulls, want_nulls;
+  for (size_t i = 0; i < n; ++i) {
+    got_nulls.push_back(got.IsNull(i));
+    want_nulls.push_back(want.IsNull(i));
+  }
+  EXPECT_EQ(got_nulls, want_nulls) << context;
+  auto bits = [n](const double* v) {
+    std::vector<uint64_t> out;
+    for (size_t i = 0; i < n; ++i) out.push_back(std::bit_cast<uint64_t>(v[i]));
+    return out;
+  };
+  switch (want.tag()) {
+    case ColumnTag::kInt:
+      EXPECT_EQ(std::vector<int64_t>(got.ints(), got.ints() + n),
+                std::vector<int64_t>(want.ints(), want.ints() + n))
+          << context;
+      break;
+    case ColumnTag::kDouble:
+      EXPECT_EQ(bits(got.doubles()), bits(want.doubles())) << context;
+      break;
+    case ColumnTag::kBool:
+      EXPECT_EQ(std::vector<uint8_t>(got.bools(), got.bools() + n),
+                std::vector<uint8_t>(want.bools(), want.bools() + n))
+          << context;
+      break;
+    case ColumnTag::kString:
+      EXPECT_EQ(got.dict()->values(), want.dict()->values()) << context;
+      EXPECT_EQ(std::vector<uint32_t>(got.codes(), got.codes() + n),
+                std::vector<uint32_t>(want.codes(), want.codes() + n))
+          << context;
+      break;
+    case ColumnTag::kMixed:
+      for (size_t i = 0; i < n; ++i) {
+        const Value& g = got.mixed()[i];
+        const Value& w = want.mixed()[i];
+        ASSERT_EQ(g.type(), w.type()) << context << " row " << i;
+        if (const double* d = w.TryDouble(); d != nullptr) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(*g.TryDouble()),
+                    std::bit_cast<uint64_t>(*d))
+              << context << " row " << i;
+        } else {
+          EXPECT_EQ(g, w) << context << " row " << i;
+        }
+      }
+      break;
+  }
+}
+
+TEST(MiddlewareTest, AppendsMatchAFullEncodeAndCollect) {
+  // Seeded Insert / InsertRows sequences.  An append encodes only its
+  // batch and merges stats, so after every publish each stored column
+  // must equal Encode over all rows, and the stats must render exactly
+  // like a fresh Collect.  The sequences put NULLs into a column that
+  // had none, widen an int column to mixed (via doubles or strings),
+  // store NaN and -0.0 doubles, and add strings that sort before,
+  // between and after the existing dictionary entries.
+  const std::vector<std::string> columns = {"k", "w", "d", "s", "vb", "ve"};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 0x2545f4914f6cdd1dULL);
+    const int nulls_from = static_cast<int>(rng.Range(3, 20));
+    const int widen_from = static_cast<int>(rng.Range(3, 30));
+    const bool widen_to_string = rng.Chance(0.5);
+    const int new_strings_from = static_cast<int>(rng.Range(2, 15));
+    TemporalDB db(kExampleDomain);
+    ASSERT_TRUE(db.CreatePeriodTable("t", columns, "vb", "ve").ok());
+    std::vector<Row> all;
+    for (int step = 0; step < 40; ++step) {
+      auto make_row = [&] {
+        Row row(columns.size());
+        row[0] = step >= nulls_from && rng.Chance(0.2)
+                     ? Value::Null()
+                     : Value::Int(rng.Range(0, 20));
+        if (step < widen_from || rng.Chance(0.6)) {
+          row[1] = Value::Int(rng.Range(-5, 5));
+        } else {
+          row[1] = widen_to_string
+                       ? Value::String(StrCat("w", rng.Range(0, 3)))
+                       : Value::Double(rng.Range(0, 8) * 0.5);
+        }
+        switch (rng.Range(0, 7)) {
+          case 0:
+            row[2] = Value::Double(nan);
+            break;
+          case 1:
+            row[2] = Value::Double(-0.0);
+            break;
+          case 2:
+            row[2] = Value::Null();
+            break;
+          default:
+            row[2] = Value::Double(static_cast<double>(rng.Range(0, 6)));
+        }
+        if (step == 0 && seed % 2 == 0) {
+          row[3] = Value::Null();  // an all-NULL first version
+        } else if (step < new_strings_from || rng.Chance(0.5)) {
+          row[3] = Value::String(StrCat("m", rng.Range(10, 14)));
+        } else {
+          // Before, between and after the "m10".."m14" entries.
+          const char* shapes[] = {"a", "m11x", "m13", "z"};
+          row[3] = Value::String(
+              StrCat(shapes[rng.Uniform(4)], rng.Range(0, 2 * step)));
+        }
+        const TimePoint b =
+            rng.Range(kExampleDomain.tmin, kExampleDomain.tmax - 1);
+        row[4] = Value::Int(b);
+        row[5] = Value::Int(rng.Range(b, kExampleDomain.tmax));
+        return row;
+      };
+      const std::string context = StrCat("seed ", seed, " step ", step);
+      if (rng.Chance(0.5)) {
+        Row row = make_row();
+        all.push_back(row);
+        ASSERT_TRUE(db.Insert("t", std::move(row)).ok()) << context;
+      } else {
+        std::vector<Row> batch;
+        for (int64_t i = rng.Range(1, 12); i > 0; --i) {
+          batch.push_back(make_row());
+        }
+        all.insert(all.end(), batch.begin(), batch.end());
+        ASSERT_TRUE(db.InsertRows("t", std::move(batch)).ok()) << context;
+      }
+      std::shared_ptr<const Relation> stored = db.catalog().GetShared("t");
+      ASSERT_TRUE(stored->is_columnar()) << context;
+      ASSERT_EQ(stored->size(), all.size()) << context;
+      for (size_t c = 0; c < columns.size(); ++c) {
+        ExpectEncodedFrom(stored->col(c), all, c,
+                          StrCat(context, " column ", columns[c]));
+      }
+      std::shared_ptr<const TableStats> stats = db.catalog().GetStats("t");
+      ASSERT_NE(stats, nullptr) << context;
+      EXPECT_TRUE(stats->BuiltFor(stored.get())) << context;
+      EXPECT_EQ(stats->ToString(),
+                TableStats::Collect(stored, 4, 5)->ToString())
+          << context;
+    }
+    // The sequence reached every shape it was meant to.
+    const Relation& stored = db.catalog().Get("t");
+    EXPECT_TRUE(stored.col(0).has_nulls()) << "seed " << seed;
+    EXPECT_EQ(stored.col(1).tag(), ColumnTag::kMixed) << "seed " << seed;
+    EXPECT_TRUE(stored.col(2).has_nan()) << "seed " << seed;
+  }
 }
 
 TEST(MiddlewareTest, EveryWritePathPublishesTheSameColumnarTable) {

@@ -12,11 +12,13 @@ Checks invariants that neither the compiler nor clang-tidy can express:
           // periodk-lint: columnar-lane-end(<name>)
 
   row-view-in-stored-table-code
-      Code that only ever reads stored tables -- everything under
-      src/stats/ and src/engine/timeline_index.cc -- must not touch the
-      row view at all: rows() / mutable_rows() / AddRow / Reserve.
-      Stored tables are columnar by construction (the middleware's one
-      publish path encodes them), so a row lane there is dead code.
+      Code that only ever reads or writes stored tables -- everything
+      under src/stats/, src/engine/timeline_index.cc and the
+      middleware's write path in src/middleware/temporal_db.cc -- must
+      not touch the row view at all: rows() / mutable_rows() / AddRow /
+      Reserve.  Stored tables are columnar by construction (the one
+      publish path encodes a new table and appends encode only the
+      batch), so a row lane there is dead code or an O(table) decay.
 
   naked-mutex
       src/ code must use the annotated wrappers from
@@ -64,8 +66,9 @@ ROW_API_RE = re.compile(r"\.rows\(\)|\bAddRow\s*\(|\bmutable_rows\s*\(")
 # The whole row-view API, either member-access form.
 ROW_VIEW_RE = re.compile(
     r"(?:\.|->)\s*rows\s*\(\s*\)|\b(?:mutable_rows|AddRow|Reserve)\s*\(")
-# Code that reads only stored (always columnar) tables.
-STORED_TABLE_CODE = ("stats/", "engine/timeline_index.cc")
+# Code that reads or writes only stored (always columnar) tables.
+STORED_TABLE_CODE = ("stats/", "engine/timeline_index.cc",
+                     "middleware/temporal_db.cc")
 NAKED_MUTEX_RE = re.compile(
     r"std::(?:recursive_|shared_|timed_)?mutex\b"
     r"|std::condition_variable(?:_any)?\b"
@@ -195,7 +198,7 @@ def check_stored_table_code(path, rel, stripped_lines, findings):
         if m is not None:
             findings.append(Finding(
                 path, idx, "row-view-in-stored-table-code",
-                f"{m.group(0).strip()} in code that reads only stored "
+                f"{m.group(0).strip()} in code that handles only stored "
                 "tables, which are always columnar"))
 
 
@@ -294,6 +297,11 @@ void Kernel(const Relation& input) {
 // A comment naming rows() does not fire; the call below does.
 size_t Count(const Relation& rel) { return rel.rows().size(); }
 """,
+    "src/middleware/temporal_db.cc": """\
+void Append(Relation& next, std::vector<Row>& rows) {
+  for (Row& row : rows) next.AddRow(std::move(row));
+}
+""",
     "src/common/mutex_bad.cc": """\
 #include <mutex>
 std::mutex raw_mu;
@@ -316,6 +324,7 @@ Status Flush();
 SELF_TEST_EXPECT = {
     ("lane_bad.cc", "row-api-in-columnar-lane"): 1,
     ("stored_bad.cc", "row-view-in-stored-table-code"): 1,
+    ("temporal_db.cc", "row-view-in-stored-table-code"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
     ("byvalue_bad.h", "relation-by-value"): 1,
     ("nodiscard_bad.h", "missing-nodiscard"): 1,
