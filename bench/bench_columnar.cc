@@ -1,10 +1,12 @@
 // Columnar storage ablation (docs/architecture.md §9): the same plans
-// over the same base tables stored as vector<Row> (kernel row lanes)
-// vs typed columns (vectorized lanes reading contiguous endpoint
-// arrays and packed keys).  Four workloads cover the hot loops the
-// refactor targets: hash aggregation over a scan, the partition-then-
-// sweep interval join, native coalescing, and the fused split-
-// aggregate sweep.  Outputs are checked row-identical before timing.
+// over the same base tables stored as vector<Row> vs typed columns.
+// Four workloads cover the hot loops: hash aggregation over a scan,
+// the partition-then-sweep interval join, native coalescing, and the
+// fused split-aggregate sweep.  Hash aggregation, coalescing and
+// split-aggregate have one lane over typed columns, so their row-store
+// time is the encode at kernel entry plus that lane; the interval join
+// still runs its row lane on row storage.  Outputs are checked
+// row-identical before timing.
 // Record medians into BENCH_columnar.json per docs/benchmarks.md.
 #include <cstdio>
 #include <string>

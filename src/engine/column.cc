@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <type_traits>
 #include <unordered_map>
 
@@ -43,15 +44,20 @@ void ColumnData::InitValidity() {
   validity_.assign((size_ + 63) / 64, 0);
 }
 
-ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
+ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col,
+                              const std::vector<uint32_t>* which) {
+  const size_t n = which == nullptr ? rows.size() : which->size();
+  auto cell = [&](size_t i) -> const Value& {
+    return rows[which == nullptr ? i : (*which)[i]][col];
+  };
   ColumnData out;
-  out.size_ = rows.size();
+  out.size_ = n;
 
   bool has_bool = false, has_int = false, has_double = false;
   bool has_string = false;
   size_t nulls = 0;
-  for (const Row& row : rows) {
-    switch (row[col].type()) {
+  for (size_t i = 0; i < n; ++i) {
+    switch (cell(i).type()) {
       case ValueType::kNull:
         ++nulls;
         break;
@@ -87,18 +93,18 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
   if (nulls > 0) out.InitValidity();
   switch (out.tag_) {
     case ColumnTag::kInt:
-      out.ints_.resize(rows.size(), 0);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (const int64_t* v = rows[i][col].TryInt()) {
+      out.ints_.resize(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        if (const int64_t* v = cell(i).TryInt()) {
           out.ints_[i] = *v;
           if (nulls > 0) out.SetValid(i);
         }
       }
       break;
     case ColumnTag::kDouble:
-      out.doubles_.resize(rows.size(), 0.0);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (const double* v = rows[i][col].TryDouble()) {
+      out.doubles_.resize(n, 0.0);
+      for (size_t i = 0; i < n; ++i) {
+        if (const double* v = cell(i).TryDouble()) {
           out.doubles_[i] = *v;
           if (std::isnan(*v)) out.has_nan_ = true;
           if (nulls > 0) out.SetValid(i);
@@ -106,42 +112,53 @@ ColumnData ColumnData::Encode(const std::vector<Row>& rows, size_t col) {
       }
       break;
     case ColumnTag::kBool:
-      out.bools_.resize(rows.size(), 0);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (const bool* v = rows[i][col].TryBool()) {
+      out.bools_.resize(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        if (const bool* v = cell(i).TryBool()) {
           out.bools_[i] = *v ? 1 : 0;
           if (nulls > 0) out.SetValid(i);
         }
       }
       break;
     case ColumnTag::kString: {
-      std::vector<std::string> dict;
-      dict.reserve(rows.size() - nulls);
-      for (const Row& row : rows) {
-        if (const std::string* s = row[col].TryString()) dict.push_back(*s);
-      }
-      std::sort(dict.begin(), dict.end());
-      dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-      std::unordered_map<std::string_view, uint32_t> code_of;
-      code_of.reserve(dict.size());
-      for (size_t c = 0; c < dict.size(); ++c) {
-        code_of.emplace(dict[c], static_cast<uint32_t>(c));
-      }
-      out.codes_.resize(rows.size(), 0);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (const std::string* s = rows[i][col].TryString()) {
-          out.codes_[i] = code_of.find(*s)->second;
+      // One probe per cell numbers the distinct strings in first-
+      // appearance order; only those are sorted, and the provisional
+      // ids are then remapped to sorted dictionary codes.
+      std::unordered_map<std::string_view, uint32_t> id_of;
+      std::vector<std::string_view> distinct;
+      out.codes_.resize(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        if (const std::string* s = cell(i).TryString()) {
+          auto [it, fresh] = id_of.try_emplace(
+              *s, static_cast<uint32_t>(distinct.size()));
+          if (fresh) distinct.emplace_back(*s);
+          out.codes_[i] = it->second;
           if (nulls > 0) out.SetValid(i);
         }
+      }
+      std::vector<uint32_t> order(distinct.size());
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return distinct[a] < distinct[b];
+      });
+      std::vector<std::string> dict;
+      dict.reserve(order.size());
+      std::vector<uint32_t> code_of(order.size());
+      for (size_t c = 0; c < order.size(); ++c) {
+        code_of[order[c]] = static_cast<uint32_t>(c);
+        dict.emplace_back(distinct[order[c]]);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (!out.IsNull(i)) out.codes_[i] = code_of[out.codes_[i]];
       }
       out.dict_ = std::make_shared<const StringDict>(std::move(dict));
       break;
     }
     case ColumnTag::kMixed:
-      out.mixed_.reserve(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        out.mixed_.push_back(rows[i][col]);
-        if (nulls > 0 && !rows[i][col].is_null()) out.SetValid(i);
+      out.mixed_.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        out.mixed_.push_back(cell(i));
+        if (nulls > 0 && !cell(i).is_null()) out.SetValid(i);
       }
       break;
   }
@@ -372,64 +389,130 @@ bool FastKeyable(const ColumnData& column) {
   return false;
 }
 
-bool BuildPackedKeys(const std::vector<ColumnData>& columns,
-                     const std::vector<int>& key_cols, size_t num_rows,
-                     std::vector<uint64_t>* out) {
-  if (num_rows >= 0xffffffffull) return false;
-  if (key_cols.size() > 63) return false;
-  for (int c : key_cols) {
-    if (!FastKeyable(columns[static_cast<size_t>(c)])) return false;
-  }
-  size_t width = key_cols.size() + 1;
-  out->assign(num_rows * width, 0);
-  for (size_t j = 0; j < key_cols.size(); ++j) {
-    const ColumnData& col = columns[static_cast<size_t>(key_cols[j])];
-    uint64_t* word = out->data() + j;
-    uint64_t* nulls = out->data() + key_cols.size();
+namespace {
+
+// Packs n keys, one row-major `width = keys.size() + 1`-word key per
+// row rows[0 .. n) (rows 0 .. n - 1 when null), into out[0 .. n * width).
+// Every key column must be FastKeyable.
+void PackKeys(const std::vector<const ColumnData*>& keys, size_t n,
+              const uint32_t* rows, uint64_t* out) {
+  auto row_of = [rows](size_t k) { return rows == nullptr ? k : rows[k]; };
+  const size_t width = keys.size() + 1;
+  std::fill_n(out, n * width, 0);
+  for (size_t j = 0; j < keys.size(); ++j) {
+    const ColumnData& col = *keys[j];
+    uint64_t* word = out + j;
     switch (col.tag()) {
       case ColumnTag::kInt: {
         const int64_t* v = col.ints();
-        for (size_t i = 0; i < num_rows; ++i, word += width) {
-          *word = static_cast<uint64_t>(v[i]);
+        for (size_t k = 0; k < n; ++k, word += width) {
+          *word = static_cast<uint64_t>(v[row_of(k)]);
         }
         break;
       }
       case ColumnTag::kDouble: {
         const double* v = col.doubles();
-        for (size_t i = 0; i < num_rows; ++i, word += width) {
-          double d = v[i] == 0.0 ? 0.0 : v[i];  // -0.0 == +0.0
-          *word = std::bit_cast<uint64_t>(d);
+        for (size_t k = 0; k < n; ++k, word += width) {
+          double d = v[row_of(k)];
+          *word = std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);  // -0.0 == +0.0
         }
         break;
       }
       case ColumnTag::kBool: {
         const uint8_t* v = col.bools();
-        for (size_t i = 0; i < num_rows; ++i, word += width) {
-          *word = v[i];
-        }
+        for (size_t k = 0; k < n; ++k, word += width) *word = v[row_of(k)];
         break;
       }
       case ColumnTag::kString: {
         const uint32_t* v = col.codes();
-        for (size_t i = 0; i < num_rows; ++i, word += width) {
-          *word = v[i];
-        }
+        for (size_t k = 0; k < n; ++k, word += width) *word = v[row_of(k)];
         break;
       }
       case ColumnTag::kMixed:
-        return false;  // unreachable: rejected by FastKeyable above
+        break;  // unreachable: never FastKeyable
     }
     if (col.has_nulls()) {
-      word = out->data() + j;
-      for (size_t i = 0; i < num_rows; ++i, word += width, nulls += width) {
-        if (col.IsNull(i)) {
+      word = out + j;
+      uint64_t* nulls = out + keys.size();
+      for (size_t k = 0; k < n; ++k, word += width, nulls += width) {
+        if (col.IsNull(row_of(k))) {
           *word = 0;
           *nulls |= uint64_t{1} << j;
         }
       }
     }
   }
+}
+
+// Packed keys need every column FastKeyable and the null bitmap to fit
+// one word.
+bool Packable(const std::vector<const ColumnData*>& keys) {
+  if (keys.size() > 63) return false;
+  for (const ColumnData* col : keys) {
+    if (!FastKeyable(*col)) return false;
+  }
   return true;
+}
+
+}  // namespace
+
+bool BuildPackedKeys(const std::vector<ColumnData>& columns,
+                     const std::vector<int>& key_cols, size_t num_rows,
+                     std::vector<uint64_t>* out) {
+  if (num_rows >= 0xffffffffull) return false;
+  std::vector<const ColumnData*> keys;
+  keys.reserve(key_cols.size());
+  for (int c : key_cols) keys.push_back(&columns[static_cast<size_t>(c)]);
+  if (!Packable(keys)) return false;
+  out->resize(num_rows * (keys.size() + 1));
+  PackKeys(keys, num_rows, nullptr, out->data());
+  return true;
+}
+
+RowGroups GroupRows(const std::vector<const ColumnData*>& keys,
+                    const std::vector<uint32_t>& rows) {
+  RowGroups g;
+  g.ids.resize(rows.size());
+  if (Packable(keys)) {
+    // Block by block, so the packed words stay cache-sized however
+    // many rows there are.
+    constexpr size_t kBlock = 1024;
+    const size_t width = keys.size() + 1;
+    std::vector<uint64_t> packed(kBlock * width);
+    PackedKeyMap map(width, /*expected=*/64);
+    for (size_t from = 0; from < rows.size(); from += kBlock) {
+      const size_t n = std::min(kBlock, rows.size() - from);
+      const uint32_t* block = rows.data() + from;
+      PackKeys(keys, n, block, packed.data());
+      for (size_t k = 0; k < n; ++k) {
+        uint32_t gid = map.FindOrInsert(&packed[k * width]);
+        if (gid == g.reps.size()) g.reps.push_back(block[k]);
+        g.ids[from + k] = gid;
+      }
+    }
+    return g;
+  }
+  std::unordered_map<Row, uint32_t, RowHash, RowEq> gid_of;
+  for (size_t k = 0; k < rows.size(); ++k) {
+    Row key;
+    key.reserve(keys.size());
+    for (const ColumnData* col : keys) key.push_back(col->Get(rows[k]));
+    auto [it, inserted] = gid_of.try_emplace(
+        std::move(key), static_cast<uint32_t>(g.reps.size()));
+    if (inserted) g.reps.push_back(rows[k]);
+    g.ids[k] = it->second;
+  }
+  return g;
+}
+
+std::vector<Row> KeyRows(const std::vector<const ColumnData*>& keys,
+                         const std::vector<uint32_t>& reps) {
+  std::vector<Row> out(reps.size());
+  for (size_t g = 0; g < reps.size(); ++g) {
+    out[g].reserve(keys.size());
+    for (const ColumnData* col : keys) out[g].push_back(col->Get(reps[g]));
+  }
+  return out;
 }
 
 PackedKeyMap::PackedKeyMap(size_t width, size_t expected) : width_(width) {

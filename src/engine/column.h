@@ -7,8 +7,9 @@
 // order), and columns whose non-null values mix types fall back to a
 // vector<Value> ("mixed") representation so the dynamically typed
 // engine loses nothing.  The interval kernels (interval join,
-// coalescing, split-aggregate, timeline-index build) read the raw
-// arrays directly instead of dispatching through std::variant per cell.
+// coalescing, split-aggregate, hash aggregation, timeslice,
+// timeline-index build) read the raw arrays directly instead of
+// dispatching through std::variant per cell.
 #ifndef PERIODK_ENGINE_COLUMN_H_
 #define PERIODK_ENGINE_COLUMN_H_
 
@@ -47,10 +48,13 @@ class StringDict {
 /// new columns are built by Encode / FromInts / Gather.
 class ColumnData {
  public:
-  /// Encodes column `col` of `rows`.  Picks the narrowest tag that
-  /// represents every non-null cell exactly (an all-null or empty
-  /// column encodes as kInt with an all-invalid bitmap).
-  static ColumnData Encode(const std::vector<Row>& rows, size_t col);
+  /// Encodes column `col` of `rows`, or of just the rows `*which` in
+  /// that order.  Picks the narrowest tag that represents every
+  /// non-null cell exactly (an all-null or empty column encodes as kInt
+  /// with an all-invalid bitmap).  String ids cost one hash probe per
+  /// cell; only the distinct strings are sorted into the dictionary.
+  static ColumnData Encode(const std::vector<Row>& rows, size_t col,
+                           const std::vector<uint32_t>* which = nullptr);
 
   /// Column `col` of `rows` appended after `head`: equal in every field
   /// (tag, null count, NaN flag, dictionary, codes, payload) to Encode
@@ -93,8 +97,8 @@ class ColumnData {
   const std::vector<Value>& mixed() const { return mixed_; }
 
   /// kDouble only: true when any stored value is NaN.  Value::Compare
-  /// is not a consistent order on NaN, so packed-key fast paths must
-  /// fall back to the row path for such columns.
+  /// is not a consistent order on NaN, so grouping must use Value keys
+  /// for such columns instead of packed key words.
   bool has_nan() const { return has_nan_; }
 
  private:
@@ -131,6 +135,28 @@ bool FastKeyable(const ColumnData& column);
 bool BuildPackedKeys(const std::vector<ColumnData>& columns,
                      const std::vector<int>& key_cols, size_t num_rows,
                      std::vector<uint64_t>* out);
+
+/// First-appearance grouping: ids[k] is the group of row rows[k], with
+/// groups numbered 0, 1, 2, ... in the order they first appear in
+/// `rows`; reps[g] is the row where group g first appears.
+struct RowGroups {
+  std::vector<uint32_t> ids;
+  std::vector<uint32_t> reps;
+};
+
+/// Groups the rows `rows` (indices into the key columns, in the order
+/// given) by their values in `keys`.  When every key column is
+/// FastKeyable the keys are packed (BuildPackedKeys' encoding) block by
+/// block over `rows` only, into a PackedKeyMap; otherwise each row's key
+/// is a Row of Get(i) values in an unordered_map<Row, RowHash, RowEq> --
+/// exactly the equality a row-at-a-time operator groups by, NaN and
+/// mixed-type keys included.  No keys puts every row in group 0.
+RowGroups GroupRows(const std::vector<const ColumnData*>& keys,
+                    const std::vector<uint32_t>& rows);
+
+/// Each group's key as a Row: the `keys` values at each row of `reps`.
+std::vector<Row> KeyRows(const std::vector<const ColumnData*>& keys,
+                         const std::vector<uint32_t>& reps);
 
 /// Open-addressing hash map from fixed-width uint64 keys to dense ids
 /// (0, 1, 2, ... in first-appearance order).  Keys live in one arena

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -224,129 +225,40 @@ struct GroupState {
 };
 
 /// Hash-aggregation groups in *first-appearance order*: keys[g] and
-/// groups[g] describe the g-th distinct key encountered.  Both the row
-/// path and the columnar packed-key path fill this structure, so their
-/// outputs are row-for-row identical regardless of which lane ran.
+/// groups[g] describe the g-th distinct key encountered, so the output
+/// order is a pure function of the logical input whatever its storage.
 struct GroupTable {
   std::vector<Row> keys;
   std::vector<GroupState> groups;
 };
 
-/// Accumulates rows [begin, end) of the input into `table`.
-void AccumulateGroups(const Plan& plan, const Relation& input, int64_t begin,
-                      int64_t end, GroupTable& table) {
-  const size_t num_aggs = plan.aggs.size();
-  // Columnar inputs whose group keys and aggregate arguments are all
-  // plain column references skip the row view entirely; when every key
-  // column is additionally fast-keyable, grouping runs on packed uint64
-  // key words (dictionary codes for strings) instead of hashing Values.
-  // periodk-lint: columnar-lane-begin(group-accumulate)
-  if (input.is_columnar()) {
-    std::vector<int> key_cols;
-    std::vector<int> agg_cols;
-    key_cols.reserve(plan.exprs.size());
-    agg_cols.reserve(num_aggs);
-    bool fast = true;
-    for (const ExprPtr& e : plan.exprs) {
-      if (e->kind != ExprKind::kColumn) {
-        fast = false;
-        break;
-      }
-      key_cols.push_back(e->column);
-    }
-    for (size_t a = 0; fast && a < num_aggs; ++a) {
-      if (plan.aggs[a].func == AggFunc::kCountStar) {
-        agg_cols.push_back(-1);
-        continue;
-      }
-      const ExprPtr& arg = plan.aggs[a].arg;
-      if (arg == nullptr || arg->kind != ExprKind::kColumn) {
-        fast = false;
-        break;
-      }
-      agg_cols.push_back(arg->column);
-    }
-    if (fast) {
-      const std::vector<ColumnData>& cols = input.columns();
-      auto accumulate = [&](GroupState& g, size_t r) {
-        g.star_count += 1;
-        for (size_t a = 0; a < num_aggs; ++a) {
-          if (agg_cols[a] < 0) continue;
-          g.states[a].AccumulateColumn(cols[static_cast<size_t>(agg_cols[a])],
-                                       r);
-        }
-      };
-      std::vector<uint64_t> packed;
-      if (BuildPackedKeys(cols, key_cols, input.size(), &packed)) {
-        const size_t width = key_cols.size() + 1;
-        PackedKeyMap map(width, static_cast<size_t>(end - begin));
-        std::vector<uint32_t> rep;  // first input row of each group
-        for (int64_t i = begin; i < end; ++i) {
-          size_t r = static_cast<size_t>(i);
-          uint32_t gid = map.FindOrInsert(&packed[r * width]);
-          if (gid == table.groups.size()) {
-            rep.push_back(static_cast<uint32_t>(r));
-            table.groups.emplace_back();
-            table.groups.back().states.resize(num_aggs);
-          }
-          accumulate(table.groups[gid], r);
-        }
-        table.keys.reserve(rep.size());
-        for (uint32_t r : rep) {
-          Row key;
-          key.reserve(key_cols.size());
-          for (int c : key_cols) {
-            key.push_back(cols[static_cast<size_t>(c)].Get(r));
-          }
-          table.keys.push_back(std::move(key));
-        }
-        return;
-      }
-      // Mixed/NaN key columns: Value keys, still straight off the
-      // columns and still in first-appearance order.
-      std::unordered_map<Row, size_t, RowHash, RowEq> gid_of;
-      for (int64_t i = begin; i < end; ++i) {
-        size_t r = static_cast<size_t>(i);
-        Row key;
-        key.reserve(key_cols.size());
-        for (int c : key_cols) {
-          key.push_back(cols[static_cast<size_t>(c)].Get(r));
-        }
-        auto [it, inserted] = gid_of.try_emplace(std::move(key),
-                                                 table.groups.size());
-        if (inserted) {
-          table.keys.push_back(it->first);
-          table.groups.emplace_back();
-          table.groups.back().states.resize(num_aggs);
-        }
-        accumulate(table.groups[it->second], r);
-      }
-      return;
-    }
-  }
-  // periodk-lint: columnar-lane-end(group-accumulate)
-  std::unordered_map<Row, size_t, RowHash, RowEq> gid_of;
-  const std::vector<Row>& rows = input.rows();
-  for (int64_t i = begin; i < end; ++i) {
-    const Row& row = rows[static_cast<size_t>(i)];
-    Row key;
-    key.reserve(plan.exprs.size());
-    for (const ExprPtr& e : plan.exprs) key.push_back(e->Eval(row));
-    auto [it, inserted] = gid_of.try_emplace(std::move(key),
-                                             table.groups.size());
-    if (inserted) {
-      table.keys.push_back(it->first);
-      table.groups.emplace_back();
-      table.groups.back().states.resize(num_aggs);
-    }
-    GroupState& g = table.groups[it->second];
+/// Accumulates rows [begin, end) into `table`.  `cols` holds the
+/// `num_keys` group-key columns, then one aggregate-argument column per
+/// aggregate (nullptr for count(*)).  Only this range is grouped, so
+/// parallel chunks never touch each other's rows.
+// periodk-lint: columnar-lane-begin(group-accumulate)
+void AccumulateGroups(const std::vector<const ColumnData*>& cols,
+                      size_t num_keys, int64_t begin, int64_t end,
+                      GroupTable& table) {
+  const std::vector<const ColumnData*> keys(
+      cols.begin(), cols.begin() + static_cast<long>(num_keys));
+  const size_t num_aggs = cols.size() - num_keys;
+  std::vector<uint32_t> rows(static_cast<size_t>(end - begin));
+  std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(begin));
+  RowGroups grouped = GroupRows(keys, rows);
+  table.groups.resize(grouped.reps.size());
+  for (GroupState& g : table.groups) g.states.resize(num_aggs);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    GroupState& g = table.groups[grouped.ids[k]];
     g.star_count += 1;
-    for (size_t i2 = 0; i2 < num_aggs; ++i2) {
-      if (plan.aggs[i2].func == AggFunc::kCountStar) continue;
-      g.states[i2].Accumulate(plan.aggs[i2].arg->Eval(row));
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const ColumnData* arg = cols[num_keys + a];
+      if (arg != nullptr) g.states[a].AccumulateColumn(*arg, rows[k]);
     }
   }
+  table.keys = KeyRows(keys, grouped.reps);
 }
+// periodk-lint: columnar-lane-end(group-accumulate)
 
 Relation ExecAggregate(const Plan& plan, const Relation& input,
                        const OpContext& ctx) {
@@ -358,15 +270,26 @@ Relation ExecAggregate(const Plan& plan, const Relation& input,
   auto ranges = PlanChunks(ctx.num_threads(static_cast<int64_t>(input.size())),
                            static_cast<int64_t>(input.size()),
                            /*min_grain=*/4096);
+  // Every column the chunks read is prepared here, before the fan-out:
+  // group keys first, then aggregate arguments, so computed ones are
+  // evaluated row by row in that order.
+  KernelColumns in(input);
+  std::vector<const Expr*> exprs;
+  for (const ExprPtr& e : plan.exprs) exprs.push_back(e.get());
+  for (const AggExpr& a : plan.aggs) {
+    exprs.push_back(a.func == AggFunc::kCountStar ? nullptr : a.arg.get());
+  }
+  const std::vector<const ColumnData*> cols = in.Columns(exprs);
+  const size_t num_keys = plan.exprs.size();
   GroupTable table;
   if (ranges.size() <= 1) {
-    AccumulateGroups(plan, input, 0, static_cast<int64_t>(input.size()),
+    AccumulateGroups(cols, num_keys, 0, static_cast<int64_t>(input.size()),
                      table);
   } else {
     std::vector<GroupTable> tables(ranges.size());
     std::vector<ExecStats> chunk_stats(ranges.size());
     RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
-      AccumulateGroups(plan, input, b, e, tables[c]);
+      AccumulateGroups(cols, num_keys, b, e, tables[c]);
       chunk_stats[c].parallel_tasks = 1;
     });
     table = std::move(tables[0]);
@@ -729,6 +652,72 @@ int OpContext::num_threads(int64_t work) const {
   }
   return n;
 }
+
+// Kernel entry is the one place the four columnar kernels may read a
+// row view: to encode a row-stored input and to evaluate computed
+// expressions.
+// periodk-lint: columnar-lane-begin(kernel-columns)
+KernelColumns::KernelColumns(const Relation& input)
+    : input_(input), by_col_(input.schema().size(), nullptr) {}
+
+const ColumnData& KernelColumns::Column(size_t c) {
+  if (by_col_[c] == nullptr) {
+    if (input_.is_columnar()) {
+      by_col_[c] = &input_.col(c);
+    } else {
+      // periodk-lint: allow(row-api-in-columnar-lane): encode at entry
+      by_col_[c] = &local_.emplace_back(ColumnData::Encode(input_.rows(), c));
+    }
+  }
+  return *by_col_[c];
+}
+
+std::vector<const ColumnData*> KernelColumns::Columns(
+    const std::vector<const Expr*>& exprs,
+    const std::vector<uint32_t>* rows) {
+  std::vector<const ColumnData*> out(exprs.size(), nullptr);
+  std::vector<size_t> computed;
+  for (size_t k = 0; k < exprs.size(); ++k) {
+    const Expr* e = exprs[k];
+    if (e == nullptr) continue;
+    // An out-of-range reference is evaluated, so it throws Eval's error.
+    if (e->kind == ExprKind::kColumn && e->column >= 0 &&
+        static_cast<size_t>(e->column) < by_col_.size()) {
+      out[k] = &Column(static_cast<size_t>(e->column));
+    } else {
+      computed.push_back(k);
+    }
+  }
+  if (computed.empty()) return out;
+  // values[i][j]: computed expression j at row i.
+  std::vector<Row> values(input_.size(), Row(computed.size()));
+  // periodk-lint: allow(row-api-in-columnar-lane): computed expressions
+  // evaluate over rows, exactly as a row-at-a-time operator would
+  const std::vector<Row>& view = input_.rows();
+  auto eval_row = [&](size_t i) {
+    for (size_t j = 0; j < computed.size(); ++j) {
+      values[i][j] = exprs[computed[j]]->Eval(view[i]);
+    }
+  };
+  if (rows == nullptr) {
+    for (size_t i = 0; i < view.size(); ++i) eval_row(i);
+  } else {
+    for (uint32_t i : *rows) eval_row(i);
+  }
+  for (size_t j = 0; j < computed.size(); ++j) {
+    out[computed[j]] = &local_.emplace_back(ColumnData::Encode(values, j));
+  }
+  return out;
+}
+
+ColumnData KernelColumns::Gather(size_t c,
+                                 const std::vector<uint32_t>& rows) const {
+  if (input_.is_columnar()) return ColumnData::Gather(input_.col(c), rows);
+  if (by_col_[c] != nullptr) return ColumnData::Gather(*by_col_[c], rows);
+  // periodk-lint: allow(row-api-in-columnar-lane): encode at entry
+  return ColumnData::Encode(input_.rows(), c, &rows);
+}
+// periodk-lint: columnar-lane-end(kernel-columns)
 
 Relation GatherChunks(std::vector<Relation> outs,
                       std::vector<ExecStats> chunk_stats,

@@ -27,6 +27,7 @@
 #define PERIODK_ENGINE_EXECUTOR_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -196,6 +197,44 @@ struct OpContext {
   /// the cost model is on and `work` is below kParallelMinRows,
   /// otherwise num_threads().
   int num_threads(int64_t work) const;
+};
+
+/// The typed columns a columnar kernel (coalesce, split-aggregate, hash
+/// aggregation, timeslice) reads from its input.  A columnar input lends
+/// its own columns; a row-stored input has each requested column encoded
+/// once from its row view into storage owned here, so the input -- maybe
+/// shared with other consumers -- is never copied or mutated.  Requests
+/// are not thread-safe: make them before fanning out.  Returned
+/// references stay valid for the lifetime of this object.
+class KernelColumns {
+ public:
+  explicit KernelColumns(const Relation& input);
+  KernelColumns(const KernelColumns&) = delete;
+  KernelColumns& operator=(const KernelColumns&) = delete;
+
+  /// Schema column c.
+  const ColumnData& Column(size_t c);
+
+  /// One column per expression, aligned with `exprs`: a column
+  /// reference is Column(); a computed expression is evaluated on the
+  /// rows `rows` (every row when null) in that order, all computed
+  /// expressions of one row before the next row -- the order of a
+  /// row-at-a-time loop -- and its values encoded, NULL at rows it was
+  /// not evaluated on; a null expression (count(*)'s argument) maps to
+  /// nullptr.
+  std::vector<const ColumnData*> Columns(
+      const std::vector<const Expr*>& exprs,
+      const std::vector<uint32_t>* rows = nullptr);
+
+  /// Rows `rows` of schema column c as a new column: a Gather, where a
+  /// row-stored input whose column c was never requested encodes just
+  /// those rows.
+  ColumnData Gather(size_t c, const std::vector<uint32_t>& rows) const;
+
+ private:
+  const Relation& input_;
+  std::vector<const ColumnData*> by_col_;  // requested schema columns
+  std::deque<ColumnData> local_;           // encoded or computed columns
 };
 
 /// Concatenates per-chunk operator outputs in chunk order (so a

@@ -5,13 +5,17 @@
 //
 // A relation owns its data in one of two physical layouts:
 //   * row storage (the default for operator outputs): vector<Row>;
-//   * columnar storage (base tables, vectorized kernel outputs): one
-//     typed ColumnData per schema column (engine/column.h).
-// The row API is preserved over both: rows() on a columnar relation
+//   * columnar storage (stored tables, and the outputs of coalesce,
+//     timeslice and the overlap join's columnar lane): one typed
+//     ColumnData per schema column (engine/column.h).
+// Coalesce, split-aggregate, hash aggregation and timeslice read typed
+// columns only; a row-stored input is encoded at kernel entry
+// (KernelColumns, engine/executor.h).  The other operators use the row
+// API, which works over both layouts: rows() on a columnar relation
 // lazily materializes a cached row *view* (thread-safe -- base tables
 // are shared across concurrent queries), and the mutating entry points
 // (AddRow, mutable_rows, SortRows, Reserve) decay columnar storage back
-// to rows first, so every pre-columnar call site works unchanged.
+// to rows first.
 #ifndef PERIODK_ENGINE_RELATION_H_
 #define PERIODK_ENGINE_RELATION_H_
 

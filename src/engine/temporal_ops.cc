@@ -32,9 +32,11 @@ size_t NonTemporalArity(const Relation& r, const char* op) {
 
 /// Decodes the trailing interval of an encoded row.  Returns false for
 /// an empty validity interval (begin >= end: annotation 0 everywhere);
-/// throws on non-integer endpoints.  Every temporal operator — and in
-/// particular *both* coalesce implementations — routes its drop-empty
-/// decision through here, so they cannot diverge on degenerate rows.
+/// throws on non-integer endpoints.  The row-at-a-time operators
+/// (CoalesceWindow, SplitRelation) decode through here; the columnar
+/// kernels read EndpointArrays, which throws the same error, and drop
+/// the same rows (NonEmptyRows), so the two coalesce implementations
+/// cannot diverge on degenerate rows.
 bool DecodeRowInterval(const Row& row, size_t nattr, TimePoint* b,
                        TimePoint* e) {
   *b = TimeOf(row[nattr]);
@@ -53,9 +55,7 @@ struct CoalescedSegment {
 };
 
 // Endpoint sweep over one group's intervals: ±1 events, segments
-// between annotation changepoints.  Shared by the row and columnar
-// grouping paths, so coalesce output is a pure function of the logical
-// input regardless of storage layout.
+// between annotation changepoints.
 void SweepIntervalsToSegments(const Intervals& intervals,
                               std::vector<std::pair<TimePoint, int64_t>>& events,
                               std::vector<CoalescedSegment>& out) {
@@ -84,78 +84,57 @@ void SweepIntervalsToSegments(const Intervals& intervals,
   }
 }
 
-// Coalesce groups in first-appearance order of their key -- identical
-// whichever storage representation produced them.
-struct CoalesceGroups {
-  std::vector<Intervals> intervals;  // per group id
-  std::vector<Row> keys;             // row path: key per group id
-  std::vector<uint32_t> rep;         // columnar path: representative row
-  bool columnar = false;
-};
-
-// Columnar grouping: packed uint64 keys over the attribute columns and
-// raw endpoint arrays.  Requires the endpoint columns to be pure
-// non-null int (anything else must throw through TimeOf on the row
-// path) and the key columns to be FastKeyable.
-// periodk-lint: columnar-lane-begin(coalesce-groups)
-bool TryColumnarCoalesceGroups(const Relation& input, size_t nattr,
-                               CoalesceGroups* g) {
-  if (!input.is_columnar()) return false;
-  const std::vector<ColumnData>& cols = input.columns();
-  const ColumnData& bc = cols[nattr];
-  const ColumnData& ec = cols[nattr + 1];
-  if (bc.tag() != ColumnTag::kInt || bc.has_nulls()) return false;
-  if (ec.tag() != ColumnTag::kInt || ec.has_nulls()) return false;
-  std::vector<int> key_cols(nattr);
-  for (size_t c = 0; c < nattr; ++c) key_cols[c] = static_cast<int>(c);
-  std::vector<uint64_t> packed;
-  if (!BuildPackedKeys(cols, key_cols, input.size(), &packed)) return false;
-  const int64_t* bs = bc.ints();
-  const int64_t* es = ec.ints();
-  size_t width = nattr + 1;
-  PackedKeyMap map(width, /*expected=*/64);
-  for (size_t i = 0; i < input.size(); ++i) {
-    if (bs[i] >= es[i]) continue;  // empty validity: annotation 0
-    uint32_t gid = map.FindOrInsert(&packed[i * width]);
-    if (gid == g->intervals.size()) {
-      g->intervals.emplace_back();
-      g->rep.push_back(static_cast<uint32_t>(i));
+// Raw begin/end arrays of two endpoint columns.  A non-int or NULL
+// endpoint throws TimeOf's error for the first such cell in row order,
+// begin before end within a row -- exactly what decoding row by row
+// throws.
+std::pair<const int64_t*, const int64_t*> EndpointArrays(const ColumnData& b,
+                                                         const ColumnData& e) {
+  auto pure_int = [](const ColumnData& c) {
+    return c.tag() == ColumnTag::kInt && !c.has_nulls();
+  };
+  if (!pure_int(b) || !pure_int(e)) {
+    for (size_t i = 0; i < b.size(); ++i) {
+      TimeOf(b.Get(i));
+      TimeOf(e.Get(i));
     }
-    g->intervals[gid].emplace_back(bs[i], es[i]);
   }
-  g->columnar = true;
-  return true;
+  return {b.ints(), e.ints()};
 }
-// periodk-lint: columnar-lane-end(coalesce-groups)
 
-void RowCoalesceGroups(const Relation& input, size_t nattr,
-                       CoalesceGroups* g) {
-  std::unordered_map<Row, uint32_t, RowHash, RowEq> gid_of;
-  for (const Row& row : input.rows()) {
-    TimePoint b = 0;
-    TimePoint e = 0;
-    if (!DecodeRowInterval(row, nattr, &b, &e)) continue;
-    Row key(row.begin(), row.begin() + static_cast<long>(nattr));
-    auto [it, inserted] = gid_of.try_emplace(std::move(key),
-                                             static_cast<uint32_t>(
-                                                 g->intervals.size()));
-    if (inserted) {
-      g->intervals.emplace_back();
-      g->keys.push_back(it->first);
-    }
-    g->intervals[it->second].emplace_back(b, e);
+// Rows with a non-empty validity interval; the others carry annotation
+// 0 everywhere.
+std::vector<uint32_t> NonEmptyRows(const int64_t* bs, const int64_t* es,
+                                   size_t n) {
+  std::vector<uint32_t> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (bs[i] < es[i]) rows.push_back(static_cast<uint32_t>(i));
   }
+  return rows;
 }
 
 }  // namespace
 
+// Groups by the attribute prefix (packed keys over typed columns, first
+// appearance order), sweeps each group's endpoints and gathers the
+// output straight from the columns: dictionary codes are copied and
+// dictionaries shared.
+// periodk-lint: columnar-lane-begin(coalesce)
 Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
   size_t nattr = NonTemporalArity(input, "Coalesce");
-  CoalesceGroups groups;
-  if (!TryColumnarCoalesceGroups(input, nattr, &groups)) {
-    RowCoalesceGroups(input, nattr, &groups);
+  KernelColumns in(input);
+  auto [bs, es] = EndpointArrays(in.Column(nattr), in.Column(nattr + 1));
+  std::vector<uint32_t> live = NonEmptyRows(bs, es, input.size());
+  std::vector<const ColumnData*> keys;
+  keys.reserve(nattr);
+  for (size_t c = 0; c < nattr; ++c) keys.push_back(&in.Column(c));
+  RowGroups groups = GroupRows(keys, live);
+  size_t ngroups = groups.reps.size();
+  std::vector<Intervals> intervals(ngroups);
+  for (size_t k = 0; k < live.size(); ++k) {
+    intervals[groups.ids[k]].emplace_back(bs[live[k]], es[live[k]]);
   }
-  size_t ngroups = groups.intervals.size();
 
   // The per-group sweeps are independent: chunks of groups fan out to
   // the pool, each into its own segment slots.
@@ -166,15 +145,15 @@ Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
   if (ranges.size() <= 1) {
     std::vector<std::pair<TimePoint, int64_t>> events;
     for (size_t gi = 0; gi < ngroups; ++gi) {
-      SweepIntervalsToSegments(groups.intervals[gi], events, segments[gi]);
+      SweepIntervalsToSegments(intervals[gi], events, segments[gi]);
     }
   } else {
     std::vector<ExecStats> chunk_stats(ranges.size());
     RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
       std::vector<std::pair<TimePoint, int64_t>> events;
       for (int64_t gi = b; gi < e; ++gi) {
-        SweepIntervalsToSegments(groups.intervals[static_cast<size_t>(gi)],
-                                 events, segments[static_cast<size_t>(gi)]);
+        SweepIntervalsToSegments(intervals[static_cast<size_t>(gi)], events,
+                                 segments[static_cast<size_t>(gi)]);
       }
       chunk_stats[c].parallel_tasks = 1;
     });
@@ -183,45 +162,28 @@ Relation CoalesceNative(const Relation& input, const OpContext& ctx) {
     }
   }
 
-  // Emission in group order.  The columnar path gathers the attribute
-  // prefix straight from the input columns (dictionary codes copied,
-  // dictionaries shared); the row path rebuilds rows.
-  if (groups.columnar) {
-    std::vector<uint32_t> src;  // input row index per output row
-    std::vector<int64_t> out_b;
-    std::vector<int64_t> out_e;
-    for (size_t gi = 0; gi < ngroups; ++gi) {
-      for (const CoalescedSegment& s : segments[gi]) {
-        for (int64_t c = 0; c < s.count; ++c) {
-          src.push_back(groups.rep[gi]);
-          out_b.push_back(s.begin);
-          out_e.push_back(s.end);
-        }
-      }
-    }
-    size_t n = src.size();
-    std::vector<ColumnData> out_cols;
-    out_cols.reserve(nattr + 2);
-    for (size_t c = 0; c < nattr; ++c) {
-      out_cols.push_back(ColumnData::Gather(input.col(c), src));
-    }
-    out_cols.push_back(ColumnData::FromInts(std::move(out_b)));
-    out_cols.push_back(ColumnData::FromInts(std::move(out_e)));
-    return Relation::FromColumns(input.schema(), std::move(out_cols), n);
-  }
-  Relation out(input.schema());
+  // Emission in group order, `count` copies of each segment.
+  std::vector<uint32_t> src;  // input row per output row
+  std::vector<int64_t> out_b;
+  std::vector<int64_t> out_e;
   for (size_t gi = 0; gi < ngroups; ++gi) {
     for (const CoalescedSegment& s : segments[gi]) {
       for (int64_t c = 0; c < s.count; ++c) {
-        Row row = groups.keys[gi];
-        row.push_back(Value::Int(s.begin));
-        row.push_back(Value::Int(s.end));
-        out.AddRow(std::move(row));
+        src.push_back(groups.reps[gi]);
+        out_b.push_back(s.begin);
+        out_e.push_back(s.end);
       }
     }
   }
-  return out;
+  size_t n = src.size();
+  std::vector<ColumnData> out_cols;
+  out_cols.reserve(nattr + 2);
+  for (size_t c = 0; c < nattr; ++c) out_cols.push_back(in.Gather(c, src));
+  out_cols.push_back(ColumnData::FromInts(std::move(out_b)));
+  out_cols.push_back(ColumnData::FromInts(std::move(out_e)));
+  return Relation::FromColumns(input.schema(), std::move(out_cols), n);
 }
+// periodk-lint: columnar-lane-end(coalesce)
 
 Relation CoalesceWindow(const Relation& input) {
   size_t nattr = NonTemporalArity(input, "Coalesce");
@@ -467,6 +429,64 @@ struct RunningAgg {
   }
 };
 
+// Phase 1 of the fused split-aggregate: one partial per (group, begin,
+// end) cell, or per row without pre-aggregation.  Groups, and the cells
+// within a group, are in first-appearance order.
+struct PartialTable {
+  std::vector<Row> group_keys;
+  std::vector<std::vector<Partial>> group_partials;
+};
+
+// periodk-lint: columnar-lane-begin(split-aggregate-phase1)
+PartialTable PreAggregate(const Relation& input, size_t nattr,
+                          const std::vector<int>& group_cols,
+                          const std::vector<AggExpr>& aggs,
+                          bool pre_aggregate) {
+  KernelColumns in(input);
+  auto [bs, es] = EndpointArrays(in.Column(nattr), in.Column(nattr + 1));
+  std::vector<uint32_t> live = NonEmptyRows(bs, es, input.size());
+  std::vector<const ColumnData*> keys;
+  keys.reserve(group_cols.size());
+  for (int c : group_cols) keys.push_back(&in.Column(static_cast<size_t>(c)));
+  std::vector<const Expr*> arg_exprs;
+  arg_exprs.reserve(aggs.size());
+  for (const AggExpr& a : aggs) {
+    arg_exprs.push_back(a.func == AggFunc::kCountStar ? nullptr : a.arg.get());
+  }
+  std::vector<const ColumnData*> args = in.Columns(arg_exprs, &live);
+  RowGroups groups = GroupRows(keys, live);
+
+  PartialTable table;
+  table.group_partials.resize(groups.reps.size());
+  PackedKeyMap cell_map(/*width=*/3, /*expected=*/64);  // [group, b, e]
+  std::vector<uint32_t> cell_slot;  // cell id -> index in group_partials[g]
+  for (size_t k = 0; k < live.size(); ++k) {
+    const uint32_t i = live[k];
+    std::vector<Partial>& partials = table.group_partials[groups.ids[k]];
+    const uint64_t cell[3] = {groups.ids[k], static_cast<uint64_t>(bs[i]),
+                              static_cast<uint64_t>(es[i])};
+    uint32_t cid = pre_aggregate
+                       ? cell_map.FindOrInsert(cell)
+                       : static_cast<uint32_t>(cell_slot.size());
+    if (cid == cell_slot.size()) {
+      cell_slot.push_back(static_cast<uint32_t>(partials.size()));
+      Partial p;
+      p.begin = bs[i];
+      p.end = es[i];
+      p.states.resize(aggs.size());
+      partials.push_back(std::move(p));
+    }
+    Partial& p = partials[cell_slot[cid]];
+    p.star += 1;
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      if (args[a] != nullptr) p.states[a].AccumulateColumn(*args[a], i);
+    }
+  }
+  table.group_keys = KeyRows(keys, groups.reps);
+  return table;
+}
+// periodk-lint: columnar-lane-end(split-aggregate-phase1)
+
 }  // namespace
 
 Relation SplitAggregateRelation(const Relation& input,
@@ -491,130 +511,10 @@ Relation SplitAggregateRelation(const Relation& input,
 
   // Phase 1: pre-aggregate per (group, begin, end).  Without the
   // optimization every row becomes its own partial (ablation mode).
-  // Groups are kept in first-appearance order -- identical for both
-  // storage layouts, so the fragment output order is a pure function of
-  // the logical input.
-  std::vector<Row> group_keys;
-  std::vector<std::vector<Partial>> group_partials;
-
-  // Columnar fast path: packed uint64 keys over the group columns and
-  // raw endpoint arrays.  Aggregate arguments must be plain column
-  // references (they are in every rewriter-produced plan); falls back
-  // whenever the row path could throw (non-int or NULL endpoints) or
-  // packed keys cannot represent the grouping exactly.
-  // periodk-lint: columnar-lane-begin(split-aggregate-phase1)
-  auto columnar_phase1 = [&]() -> bool {
-    if (!input.is_columnar()) return false;
-    const std::vector<ColumnData>& cols = input.columns();
-    const ColumnData& bc = cols[nattr];
-    const ColumnData& ec = cols[nattr + 1];
-    if (bc.tag() != ColumnTag::kInt || bc.has_nulls()) return false;
-    if (ec.tag() != ColumnTag::kInt || ec.has_nulls()) return false;
-    std::vector<int> agg_cols(aggs.size(), -1);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      if (aggs[a].func == AggFunc::kCountStar) continue;
-      const ExprPtr& arg = aggs[a].arg;
-      if (arg == nullptr || arg->kind != ExprKind::kColumn) return false;
-      agg_cols[a] = arg->column;
-    }
-    std::vector<uint64_t> packed;
-    if (!BuildPackedKeys(cols, group_cols, input.size(), &packed)) {
-      return false;
-    }
-    const int64_t* bs = bc.ints();
-    const int64_t* es = ec.ints();
-    size_t gwidth = group_cols.size() + 1;
-    size_t cwidth = gwidth + (pre_aggregate ? 2 : 3);
-    PackedKeyMap group_map(gwidth, /*expected=*/64);
-    PackedKeyMap cell_map(cwidth, /*expected=*/64);
-    std::vector<uint32_t> group_rep;  // representative input row per group
-    std::vector<std::pair<uint32_t, uint32_t>> cell_ref;  // cell id -> slot
-    std::vector<uint64_t> cell_key(cwidth);
-    int64_t row_ordinal = 0;
-    for (size_t i = 0; i < input.size(); ++i) {
-      if (bs[i] >= es[i]) continue;
-      const uint64_t* gkey = &packed[i * gwidth];
-      uint32_t gid = group_map.FindOrInsert(gkey);
-      if (gid == group_partials.size()) {
-        group_partials.emplace_back();
-        group_rep.push_back(static_cast<uint32_t>(i));
-      }
-      std::copy(gkey, gkey + gwidth, cell_key.begin());
-      cell_key[gwidth] = static_cast<uint64_t>(bs[i]);
-      cell_key[gwidth + 1] = static_cast<uint64_t>(es[i]);
-      if (!pre_aggregate) {
-        cell_key[gwidth + 2] = static_cast<uint64_t>(row_ordinal++);
-      }
-      uint32_t cid = cell_map.FindOrInsert(cell_key.data());
-      if (cid == cell_ref.size()) {
-        std::vector<Partial>& partials = group_partials[gid];
-        cell_ref.emplace_back(gid, static_cast<uint32_t>(partials.size()));
-        Partial p;
-        p.begin = bs[i];
-        p.end = es[i];
-        p.states.resize(aggs.size());
-        partials.push_back(std::move(p));
-      }
-      Partial& p = group_partials[cell_ref[cid].first][cell_ref[cid].second];
-      p.star += 1;
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        if (agg_cols[a] < 0) continue;
-        p.states[a].AccumulateColumn(cols[static_cast<size_t>(agg_cols[a])],
-                                     i);
-      }
-    }
-    group_keys.reserve(group_partials.size());
-    for (uint32_t rep : group_rep) {
-      Row key;
-      key.reserve(group_cols.size());
-      for (int c : group_cols) {
-        key.push_back(cols[static_cast<size_t>(c)].Get(rep));
-      }
-      group_keys.push_back(std::move(key));
-    }
-    return true;
-  };
-  // periodk-lint: columnar-lane-end(split-aggregate-phase1)
-
-  if (!columnar_phase1()) {
-    std::unordered_map<Row, uint32_t, RowHash, RowEq> gid_of;
-    std::unordered_map<Row, size_t, RowHash, RowEq> cell_index;
-    int64_t row_ordinal = 0;
-    for (const Row& row : input.rows()) {
-      TimePoint b = 0;
-      TimePoint e = 0;
-      if (!DecodeRowInterval(row, nattr, &b, &e)) continue;
-      Row group;
-      group.reserve(group_cols.size());
-      for (int c : group_cols) group.push_back(row[static_cast<size_t>(c)]);
-      auto [git, ginserted] = gid_of.try_emplace(
-          group, static_cast<uint32_t>(group_partials.size()));
-      if (ginserted) {
-        group_keys.push_back(group);
-        group_partials.emplace_back();
-      }
-      Row cell = std::move(group);
-      cell.push_back(Value::Int(b));
-      cell.push_back(Value::Int(e));
-      if (!pre_aggregate) cell.push_back(Value::Int(row_ordinal++));
-      auto [it, inserted] = cell_index.try_emplace(std::move(cell), 0);
-      std::vector<Partial>& partials = group_partials[git->second];
-      if (inserted) {
-        it->second = partials.size();
-        Partial p;
-        p.begin = b;
-        p.end = e;
-        p.states.resize(aggs.size());
-        partials.push_back(std::move(p));
-      }
-      Partial& p = partials[it->second];
-      p.star += 1;
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        if (aggs[i].func == AggFunc::kCountStar) continue;
-        p.states[i].Accumulate(aggs[i].arg->Eval(row));
-      }
-    }
-  }
+  PartialTable phase1 =
+      PreAggregate(input, nattr, group_cols, aggs, pre_aggregate);
+  std::vector<Row>& group_keys = phase1.group_keys;
+  std::vector<std::vector<Partial>>& group_partials = phase1.group_partials;
   // Global aggregation over an empty input still produces the
   // full-domain gap row.  With grouping there is no such row: gaps are
   // emitted per *observed* group, and an empty input has none (a
@@ -713,6 +613,9 @@ Relation SplitAggregateRelation(const Relation& input,
   return GatherChunks(std::move(outs), std::move(chunk_stats), ctx);
 }
 
+// Filters on the raw endpoint arrays and gathers the kept columns; row
+// order is preserved.
+// periodk-lint: columnar-lane-begin(timeslice)
 Relation TimesliceEncodedAt(const Relation& input, TimePoint t,
                             int begin_col, int end_col) {
   int arity = static_cast<int>(input.schema().size());
@@ -729,82 +632,27 @@ Relation TimesliceEncodedAt(const Relation& input, TimePoint t,
     keep.push_back(c);
     schema.Append(input.schema().at(static_cast<size_t>(c)));
   }
-  // Columnar inputs with pure int endpoints filter on the raw arrays
-  // and gather the kept columns; row order is preserved either way.
-  // (Any other endpoint representation must throw through TimeOf, so it
-  // takes the row loop.)
-  // periodk-lint: columnar-lane-begin(timeslice)
-  if (input.is_columnar()) {
-    const ColumnData& bc = input.col(static_cast<size_t>(begin_col));
-    const ColumnData& ec = input.col(static_cast<size_t>(end_col));
-    if (bc.tag() == ColumnTag::kInt && !bc.has_nulls() &&
-        ec.tag() == ColumnTag::kInt && !ec.has_nulls()) {
-      const int64_t* bs = bc.ints();
-      const int64_t* es = ec.ints();
-      std::vector<uint32_t> alive;
-      for (size_t i = 0; i < input.size(); ++i) {
-        if (bs[i] <= t && t < es[i]) alive.push_back(static_cast<uint32_t>(i));
-      }
-      std::vector<ColumnData> cols;
-      cols.reserve(keep.size());
-      for (int c : keep) {
-        cols.push_back(
-            ColumnData::Gather(input.col(static_cast<size_t>(c)), alive));
-      }
-      return Relation::FromColumns(std::move(schema), std::move(cols),
-                                   alive.size());
-    }
+  KernelColumns in(input);
+  auto [bs, es] = EndpointArrays(in.Column(static_cast<size_t>(begin_col)),
+                                 in.Column(static_cast<size_t>(end_col)));
+  // Pure comparisons -- no endpoint arithmetic, so the whole int64 range
+  // (a TimeDomain touching INT64_MIN/INT64_MAX) is safe.
+  std::vector<uint32_t> alive;
+  for (size_t i = 0; i < input.size(); ++i) {
+    if (bs[i] <= t && t < es[i]) alive.push_back(static_cast<uint32_t>(i));
   }
-  // periodk-lint: columnar-lane-end(timeslice)
-  Relation out(std::move(schema));
-  for (const Row& row : input.rows()) {
-    TimePoint b = TimeOf(row[static_cast<size_t>(begin_col)]);
-    TimePoint e = TimeOf(row[static_cast<size_t>(end_col)]);
-    if (b <= t && t < e) {
-      Row projected;
-      projected.reserve(keep.size());
-      for (int c : keep) projected.push_back(row[static_cast<size_t>(c)]);
-      out.AddRow(std::move(projected));
-    }
-  }
-  return out;
+  std::vector<ColumnData> cols;
+  cols.reserve(keep.size());
+  for (int c : keep) cols.push_back(in.Gather(static_cast<size_t>(c), alive));
+  return Relation::FromColumns(std::move(schema), std::move(cols),
+                               alive.size());
 }
+// periodk-lint: columnar-lane-end(timeslice)
 
 Relation TimesliceEncoded(const Relation& input, TimePoint t) {
   size_t nattr = NonTemporalArity(input, "Timeslice");
-  // periodk-lint: columnar-lane-begin(timeslice-encoded)
-  if (input.is_columnar()) {
-    const ColumnData& bc = input.col(nattr);
-    const ColumnData& ec = input.col(nattr + 1);
-    if (bc.tag() == ColumnTag::kInt && !bc.has_nulls() &&
-        ec.tag() == ColumnTag::kInt && !ec.has_nulls()) {
-      const int64_t* bs = bc.ints();
-      const int64_t* es = ec.ints();
-      std::vector<uint32_t> alive;
-      for (size_t i = 0; i < input.size(); ++i) {
-        if (bs[i] <= t && t < es[i]) alive.push_back(static_cast<uint32_t>(i));
-      }
-      std::vector<ColumnData> cols;
-      cols.reserve(nattr);
-      for (size_t c = 0; c < nattr; ++c) {
-        cols.push_back(ColumnData::Gather(input.col(c), alive));
-      }
-      return Relation::FromColumns(input.schema().Prefix(nattr),
-                                   std::move(cols), alive.size());
-    }
-  }
-  // periodk-lint: columnar-lane-end(timeslice-encoded)
-  Relation out(input.schema().Prefix(nattr));
-  for (const Row& row : input.rows()) {
-    TimePoint b = TimeOf(row[nattr]);
-    TimePoint e = TimeOf(row[nattr + 1]);
-    // Pure comparisons — no endpoint arithmetic, so the whole int64
-    // range (a TimeDomain touching INT64_MIN/INT64_MAX) is safe.
-    if (b <= t && t < e) {
-      out.AddRow(Row(row.begin(), row.begin() + static_cast<long>(nattr)));
-    }
-  }
-  return out;
+  return TimesliceEncodedAt(input, t, static_cast<int>(nattr),
+                            static_cast<int>(nattr + 1));
 }
 
 }  // namespace periodk

@@ -38,9 +38,10 @@ Relation CoalesceNative(const Relation& input, const OpContext& ctx = {});
 /// detect changepoints with LAG, close intervals with LEAD, keep
 /// maximal intervals with a filter).  Several sort passes, like the
 /// 2-7 sorting steps the paper observes across DBMSs.  Both coalesce
-/// implementations drop rows with an empty validity interval
-/// (begin >= end, annotation 0 everywhere) through the same decoding
-/// helper, so they cannot diverge on degenerate rows.
+/// implementations drop exactly the rows with an empty validity
+/// interval (begin >= end, annotation 0 everywhere) and throw the same
+/// error on a non-integer endpoint, so they cannot diverge on
+/// degenerate rows.
 Relation CoalesceWindow(const Relation& input);
 
 /// Dispatches on the requested implementation.

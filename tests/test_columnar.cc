@@ -6,12 +6,14 @@
 // num_threads=1, and bag-equal output under parallel execution.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/str_util.h"
 #include "engine/column.h"
 #include "engine/executor.h"
@@ -269,33 +271,146 @@ TEST(ColumnarEquivalenceTest, StringKeyJoinTranslatesDictionaries) {
 }
 
 TEST(ColumnarEquivalenceTest, StringGroupedTemporalOperatorsMatch) {
-  Schema schema = Schema::FromNames({"g", "a_begin", "a_end"});
-  Relation rel(schema);
-  Rng rng(77);
-  for (int i = 0; i < 200; ++i) {
-    const char* names[] = {"x", "y", "z"};
-    TimePoint b = rng.Range(0, 30);
-    rel.AddRow({rng.Chance(0.1) ? Value::Null()
-                                : Value::String(names[rng.Uniform(3)]),
-                Value::Int(b), Value::Int(b + 1 + rng.Range(0, 6))});
-  }
-  Catalog rows_cat;
-  rows_cat.Put("t", std::move(rel));
-  Catalog cols_cat = Columnarized(rows_cat);
-  PlanPtr scan = MakeScan("t", schema);
-  std::vector<PlanPtr> plans = {
-      MakeCoalesce(scan),
-      MakeSplitAggregate(scan, {0},
-                         {AggExpr{AggFunc::kCountStar, nullptr, "cnt"}},
-                         /*gap_rows=*/false, TimeDomain{0, 40}),
+  // Coalesce, split-aggregate (pre-aggregation on and off), hash
+  // aggregation and timeslice each read typed columns only: a
+  // row-stored input is encoded at kernel entry.  Over keys whose
+  // equality is delicate (NaN, -0.0 vs +0.0, mixed types, NULL), empty
+  // and reversed intervals and computed keys and arguments, both
+  // storage layouts must give row-identical output.
+  Schema schema = Schema::FromNames({"g", "v", "a_begin", "a_end"});
+  auto table = [&](uint64_t seed, const std::vector<Value>& keys) {
+    Relation rel(schema);
+    Rng rng(seed);
+    for (int i = 0; i < 200; ++i) {
+      TimePoint b = rng.Range(0, 30);
+      // Mostly proper intervals; some empty (b == e) or reversed.
+      TimePoint e = rng.Chance(0.15) ? b - rng.Range(0, 3)
+                                     : b + 1 + rng.Range(0, 6);
+      Value v = rng.Chance(0.1)   ? Value::Null()
+                : rng.Chance(0.3) ? Value::Double(rng.Range(0, 9) * 0.5)
+                                  : Value::Int(rng.Range(-5, 9));
+      rel.AddRow({keys[rng.Uniform(keys.size())], std::move(v), Value::Int(b),
+                  Value::Int(e)});
+    }
+    return rel;
   };
-  for (const PlanPtr& plan : plans) {
-    Relation by_rows = Execute(plan, rows_cat, ExecOptions{});
-    Relation by_cols = Execute(plan, cols_cat, ExecOptions{});
-    auto diff = ExactDiff(by_cols, by_rows);
-    EXPECT_FALSE(diff.has_value()) << PlanKindName(plan->kind) << ": "
-                                   << *diff;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Catalog rows_cat;
+  rows_cat.Put("strings", table(77, {Value::String("x"), Value::String("y"),
+                                     Value::String("z"), Value::Null()}));
+  rows_cat.Put("doubles", table(78, {Value::Double(nan), Value::Double(-0.0),
+                                     Value::Double(0.0), Value::Double(1.5),
+                                     Value::Null()}));
+  rows_cat.Put("zeros", table(79, {Value::Double(-0.0), Value::Double(0.0),
+                                   Value::Double(1.5), Value::Null()}));
+  rows_cat.Put("mixed", table(80, {Value::Int(1), Value::Double(1.0),
+                                   Value::String("1"), Value::Bool(true),
+                                   Value::Null()}));
+  Catalog cols_cat = Columnarized(rows_cat);
+
+  const TimeDomain domain{0, 40};
+  std::vector<AggExpr> aggs = {
+      AggExpr{AggFunc::kCountStar, nullptr, "cnt"},
+      AggExpr{AggFunc::kSum, Col(1), "s"},
+      AggExpr{AggFunc::kMin, Col(1), "lo"},
+      AggExpr{AggFunc::kMax, Col(0), "hi"},
+      // Computed; the ELSE arm throws, and it is reached only on rows
+      // with an empty interval, which split-aggregate never evaluates.
+      AggExpr{AggFunc::kAvg,
+              CaseWhen({{Lt(Col(2), Col(3)), Add(Col(1), LitInt(1))}},
+                       Add(LitStr("no"), LitInt(1))),
+              "avg"}};
+  std::vector<AggExpr> plain_aggs(aggs.begin(), aggs.end() - 1);
+  for (const char* name : {"strings", "doubles", "zeros", "mixed"}) {
+    PlanPtr scan = MakeScan(name, schema);
+    std::vector<PlanPtr> plans = {
+        MakeCoalesce(scan),
+        MakeTimeslice(scan, 5),
+        MakeTimeslice(scan, 0),
+        MakeAggregate(scan, {Col(0)}, {Column("g")}, plain_aggs),
+        // Computed key and argument.
+        MakeAggregate(scan, {Sub(Col(3), Col(2)), Col(0)},
+                      {Column("len"), Column("g")},
+                      {AggExpr{AggFunc::kSum, Mul(Col(1), LitInt(2)), "s2"},
+                       AggExpr{AggFunc::kCount, Col(1), "n"}}),
+        MakeAggregate(scan, {}, {}, plain_aggs),
+    };
+    for (bool pre_aggregate : {true, false}) {
+      plans.push_back(MakeSplitAggregate(scan, {0}, aggs, /*gap_rows=*/false,
+                                         domain, pre_aggregate));
+      plans.push_back(MakeSplitAggregate(scan, {0, 1}, aggs,
+                                         /*gap_rows=*/true, domain,
+                                         pre_aggregate));
+      plans.push_back(MakeSplitAggregate(scan, {}, aggs, /*gap_rows=*/true,
+                                         domain, pre_aggregate));
+    }
+    for (const PlanPtr& plan : plans) {
+      Relation by_rows = Execute(plan, rows_cat, ExecOptions{});
+      Relation by_cols = Execute(plan, cols_cat, ExecOptions{});
+      auto diff = ExactDiff(by_cols, by_rows);
+      EXPECT_FALSE(diff.has_value())
+          << name << " " << PlanKindName(plan->kind) << ": " << *diff;
+    }
+    // References: the window-function coalesce, keyed on g alone so a
+    // typed key column takes packed keys (NaN has no consistent sort
+    // order, so window partitions are undefined on "doubles"), and a
+    // direct count of the rows alive at t = 5.
+    PlanPtr by_g = MakeProjectColumns(scan, {0, 2, 3});
+    if (std::string(name) != "doubles") {
+      Relation native = Execute(MakeCoalesce(by_g), rows_cat, ExecOptions{});
+      Relation window = Execute(MakeCoalesce(by_g, CoalesceImpl::kWindow),
+                                rows_cat, ExecOptions{});
+      EXPECT_TRUE(native.BagEquals(window)) << name;
+    }
+    size_t alive = 0;
+    for (const Row& row : rows_cat.Get(name).rows()) {
+      alive += row[2].AsInt() <= 5 && 5 < row[3].AsInt() ? 1 : 0;
+    }
+    EXPECT_EQ(Execute(plans[1], rows_cat, ExecOptions{}).size(), alive);
   }
+
+  // A double, string or NULL endpoint, or a computed argument that
+  // throws, raises the same EngineError under both layouts.
+  auto error_of = [](const PlanPtr& plan, const Catalog& catalog) {
+    try {
+      Execute(plan, catalog, ExecOptions{});
+    } catch (const EngineError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  // The first bad cell in row order is reported, begin before end.
+  const std::vector<std::vector<std::pair<size_t, size_t>>> placements = {
+      {{150, 2}}, {{150, 3}}, {{150, 2}, {150, 3}}, {{150, 3}, {151, 2}}};
+  for (const Value& bad : {Value::Double(3.0), Value::String("3"),
+                           Value::Null()}) {
+    for (const auto& cells : placements) {
+      Relation rel = table(81, {Value::String("x"), Value::String("y")});
+      for (size_t c = 0; c < cells.size(); ++c) {
+        rel.mutable_rows()[cells[c].first][cells[c].second] =
+            c == 0 ? bad : Value::Bool(true);
+      }
+      Catalog bad_rows;
+      bad_rows.Put("t", std::move(rel));
+      Catalog bad_cols = Columnarized(bad_rows);
+      PlanPtr scan = MakeScan("t", schema);
+      for (const PlanPtr& plan :
+           {MakeCoalesce(scan), MakeTimeslice(scan, 5),
+            MakeSplitAggregate(scan, {0}, aggs, false, domain, true),
+            MakeSplitAggregate(scan, {0}, aggs, true, domain, false)}) {
+        std::string want = "temporal column must hold integer time points, "
+                           "got " + bad.ToString();
+        EXPECT_EQ(error_of(plan, bad_rows), want) << PlanKindName(plan->kind);
+        EXPECT_EQ(error_of(plan, bad_cols), want) << PlanKindName(plan->kind);
+      }
+    }
+  }
+  PlanPtr throwing = MakeAggregate(
+      MakeScan("strings", schema), {Col(0)}, {Column("g")},
+      {AggExpr{AggFunc::kSum, Add(Col(0), LitInt(1)), "s"}});
+  std::string thrown = error_of(throwing, rows_cat);
+  EXPECT_NE(thrown, "no error");
+  EXPECT_EQ(error_of(throwing, cols_cat), thrown);
 }
 
 TEST(ColumnarEquivalenceTest, TwoHundredRandomPlansMatchRowPath) {

@@ -5,11 +5,14 @@ Checks invariants that neither the compiler nor clang-tidy can express:
 
   row-api-in-columnar-lane
       Inside a marked columnar lane (see below) the row view is off
-      limits: rows() / AddRow / mutable_rows materialize or decay the
-      row representation and silently forfeit the vectorized path.
-      Lanes are delimited with marker comments:
+      limits: rows() / mutable_rows() / AddRow / Reserve, in either
+      member-access form, materialize or decay the row representation
+      and silently bring back a row lane.  Lanes are delimited with
+      marker comments around a kernel's whole body:
           // periodk-lint: columnar-lane-begin(<name>)
           // periodk-lint: columnar-lane-end(<name>)
+      Only code is scanned; comments and strings inside a lane may name
+      the row API freely.
 
   row-view-in-stored-table-code
       Code that only ever reads or writes stored tables -- everything
@@ -62,7 +65,6 @@ ALLOW_RE = re.compile(r"periodk-lint:\s*allow\(([a-z-]+)\):?\s*(.*)")
 LANE_BEGIN_RE = re.compile(r"periodk-lint:\s*columnar-lane-begin\(([\w-]+)\)")
 LANE_END_RE = re.compile(r"periodk-lint:\s*columnar-lane-end\(([\w-]+)\)")
 
-ROW_API_RE = re.compile(r"\.rows\(\)|\bAddRow\s*\(|\bmutable_rows\s*\(")
 # The whole row-view API, either member-access form.
 ROW_VIEW_RE = re.compile(
     r"(?:\.|->)\s*rows\s*\(\s*\)|\b(?:mutable_rows|AddRow|Reserve)\s*\(")
@@ -157,11 +159,13 @@ def collect_allows(lines, findings, path):
     return allows
 
 
-def check_columnar_lanes(path, rel, lines, findings):
+def check_columnar_lanes(path, rel, lines, stripped_lines, findings):
     if not rel.startswith("engine/"):
         return
     lane = None  # (name, begin line)
-    for idx, line in enumerate(lines, start=1):
+    # Markers are comments, so they are read from the raw lines; the row
+    # API is searched for in the comment-stripped ones.
+    for idx, (line, code) in enumerate(zip(lines, stripped_lines), start=1):
         begin = LANE_BEGIN_RE.search(line)
         end = LANE_END_RE.search(line)
         if begin is not None:
@@ -179,11 +183,12 @@ def check_columnar_lanes(path, rel, lines, findings):
                     f"stray lane end '{end.group(1)}'"))
             lane = None
             continue
-        if lane is not None and ROW_API_RE.search(line) is not None:
+        m = ROW_VIEW_RE.search(code) if lane is not None else None
+        if m is not None:
             findings.append(Finding(
                 path, idx, "row-api-in-columnar-lane",
-                f"row API inside columnar lane '{lane[0]}' "
-                "(rows()/AddRow/mutable_rows decay the columnar path)"))
+                f"{m.group(0).strip()} inside columnar lane '{lane[0]}' "
+                "(the row view forfeits the one columnar lane)"))
     if lane is not None:
         findings.append(Finding(
             path, lane[1], "row-api-in-columnar-lane",
@@ -252,7 +257,7 @@ def lint_file(path, rel):
     stripped = strip_comments_and_strings(text)
     stripped_lines = stripped.splitlines()
     allows = collect_allows(lines, findings, path)
-    check_columnar_lanes(path, rel, lines, findings)
+    check_columnar_lanes(path, rel, lines, stripped_lines, findings)
     check_stored_table_code(path, rel, stripped_lines, findings)
     check_naked_mutex(path, rel, stripped_lines, findings)
     check_relation_by_value(path, stripped, findings)
@@ -281,15 +286,21 @@ SELF_TEST_FILES = {
     # works and a clean lane proving markers do not themselves fire.
     "src/engine/lane_bad.cc": """\
 // periodk-lint: columnar-lane-begin(demo)
-void Kernel(const Relation& input) {
+void Kernel(const Relation& input, const Relation* other, Relation& out) {
   for (const Row& row : input.rows()) Use(row);
+  Use(other->rows());
+  out.Reserve(input.size());
+  // periodk-lint: allow(row-api-in-columnar-lane): computed expressions
+  Eval(input.rows());
 }
 // periodk-lint: columnar-lane-end(demo)
 """,
     "src/engine/lane_ok.cc": """\
 // periodk-lint: columnar-lane-begin(demo)
 void Kernel(const Relation& input) {
+  // Never input.rows() or out.Reserve(n) here: comments do not fire.
   const int64_t* xs = input.col(0).ints();
+  Log("AddRow(");
 }
 // periodk-lint: columnar-lane-end(demo)
 """,
@@ -322,7 +333,7 @@ Status Flush();
 }
 
 SELF_TEST_EXPECT = {
-    ("lane_bad.cc", "row-api-in-columnar-lane"): 1,
+    ("lane_bad.cc", "row-api-in-columnar-lane"): 3,
     ("stored_bad.cc", "row-view-in-stored-table-code"): 1,
     ("temporal_db.cc", "row-view-in-stored-table-code"): 1,
     ("mutex_bad.cc", "naked-mutex"): 1,
