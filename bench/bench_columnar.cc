@@ -2,10 +2,10 @@
 // over the same base tables stored as vector<Row> vs typed columns.
 // Four workloads cover the hot loops: hash aggregation over a scan,
 // the partition-then-sweep interval join, native coalescing, and the
-// fused split-aggregate sweep.  Hash aggregation, coalescing and
-// split-aggregate have one lane over typed columns, so their row-store
-// time is the encode at kernel entry plus that lane; the interval join
-// still runs its row lane on row storage.  Outputs are checked
+// fused split-aggregate sweep.  Every one of them has one lane over
+// typed columns, so its row-store time is the encode at kernel entry
+// plus that lane (the interval join encodes only its key and endpoint
+// columns and emits rows for row-stored inputs).  Outputs are checked
 // row-identical before timing.
 // Record medians into BENCH_columnar.json per docs/benchmarks.md.
 #include <cstdio>

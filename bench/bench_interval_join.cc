@@ -4,8 +4,10 @@
 // Sec. 10 evaluation: the equi+overlap shape RewriteJoin emits, the
 // overlap-only self-join that previously degenerated to O(n^2), and a
 // skewed-duration mix (a few domain-spanning intervals among many short
-// ones) that stresses the sweep's active sets.  Record medians into
-// BENCH_interval_join.json per docs/benchmarks.md.
+// ones) that stresses the sweep's active sets.  Each shape runs on
+// row-stored and on columnar inputs; the two outputs are checked
+// row-identical (and bag-equal to the nested loop) before timing.
+// Record medians into BENCH_interval_join.json per docs/benchmarks.md.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -50,8 +52,17 @@ Relation MakeTable(Rng* rng, int rows, int keys, double long_chance) {
 struct Workload {
   std::string name;
   PlanPtr join;      // routed through the sweep by the executor
-  Catalog catalog;
+  Catalog catalog;   // row-stored inputs
+  Catalog columnar;  // the same inputs stored as typed columns
 };
+
+bool RowsIdentical(const Relation& a, const Relation& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (CompareRows(a.rows()[i], b.rows()[i]) != 0) return false;
+  }
+  return true;
+}
 
 ExprPtr OverlapPred() {
   // b1 < e2 AND b2 < e1 over the trailing PERIODENC columns.
@@ -103,17 +114,24 @@ int main() {
     workloads.push_back(std::move(w));
   }
 
-  bench::TablePrinter table(
-      {"Workload", "Rows/side", "Out rows", "NestedLoop", "Sweep", "Speedup"},
-      {18, 10, 12, 12, 12, 10});
+  bench::TablePrinter table({"Workload", "Rows/side", "Out rows", "NestedLoop",
+                             "Sweep/rows", "Sweep/cols", "Speedup"},
+                            {18, 10, 12, 12, 12, 12, 10});
   table.PrintHeader();
   for (Workload& w : workloads) {
+    for (const std::string& name : w.catalog.TableNames()) {
+      Relation encoded = w.catalog.Get(name);
+      encoded.ToColumnar();
+      w.columnar.Put(name, std::move(encoded));
+    }
     const Relation& left = w.catalog.Get(w.join->left->table);
     const Relation& right = w.catalog.Get(w.join->right->table);
-    // Sanity: identical bags before timing anything.
+    // Sanity before timing anything: both layouts give the same rows in
+    // the same order, and the same bag as the nested loop.
     Relation sweep = Execute(w.join, w.catalog);
+    Relation sweep_cols = Execute(w.join, w.columnar);
     Relation reference = NestedLoopJoin(*w.join, left, right);
-    if (!sweep.BagEquals(reference)) {
+    if (!sweep.BagEquals(reference) || !RowsIdentical(sweep, sweep_cols)) {
       std::fprintf(stderr, "FATAL: sweep join diverges on %s\n",
                    w.name.c_str());
       return 1;
@@ -122,12 +140,15 @@ int main() {
         [&] { NestedLoopJoin(*w.join, left, right); }, repeats);
     double swept =
         bench::TimeMedian([&] { Execute(w.join, w.catalog); }, repeats);
+    double swept_cols =
+        bench::TimeMedian([&] { Execute(w.join, w.columnar); }, repeats);
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.1fx", nested / swept);
     table.PrintRow({w.name, std::to_string(rows),
                     std::to_string(sweep.size()),
                     bench::TablePrinter::Seconds(nested),
-                    bench::TablePrinter::Seconds(swept), speedup});
+                    bench::TablePrinter::Seconds(swept),
+                    bench::TablePrinter::Seconds(swept_cols), speedup});
   }
   return 0;
 }

@@ -456,14 +456,9 @@ bool Packable(const std::vector<const ColumnData*>& keys) {
 
 }  // namespace
 
-bool BuildPackedKeys(const std::vector<ColumnData>& columns,
-                     const std::vector<int>& key_cols, size_t num_rows,
-                     std::vector<uint64_t>* out) {
-  if (num_rows >= 0xffffffffull) return false;
-  std::vector<const ColumnData*> keys;
-  keys.reserve(key_cols.size());
-  for (int c : key_cols) keys.push_back(&columns[static_cast<size_t>(c)]);
-  if (!Packable(keys)) return false;
+bool BuildPackedKeys(const std::vector<const ColumnData*>& keys,
+                     size_t num_rows, std::vector<uint64_t>* out) {
+  if (num_rows >= 0xffffffffull || !Packable(keys)) return false;
   out->resize(num_rows * (keys.size() + 1));
   PackKeys(keys, num_rows, nullptr, out->data());
   return true;

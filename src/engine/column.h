@@ -124,17 +124,16 @@ class ColumnData {
 /// columns never.
 bool FastKeyable(const ColumnData& column);
 
-/// Builds row-major packed keys over `key_cols` of `columns`:
-/// width = key_cols.size() + 1 words per row -- one word per key column
+/// Builds row-major packed keys over the columns `keys`:
+/// width = keys.size() + 1 words per row -- one word per key column
 /// (int bits / bool / dictionary code / double bits with -0.0
 /// normalized to +0.0) plus a trailing null-bitmap word.  Returns false
-/// (leaving *out unspecified) if any listed column is not FastKeyable
-/// or num_rows exceeds uint32 range.  Word equality then matches row
-/// key equality under Value::Compare, and dictionary codes keep string
+/// (leaving *out unspecified) if any column is not FastKeyable or
+/// num_rows exceeds uint32 range.  Word equality then matches row key
+/// equality under Value::Compare, and dictionary codes keep string
 /// comparisons out of the grouping loops entirely.
-bool BuildPackedKeys(const std::vector<ColumnData>& columns,
-                     const std::vector<int>& key_cols, size_t num_rows,
-                     std::vector<uint64_t>* out);
+bool BuildPackedKeys(const std::vector<const ColumnData*>& keys,
+                     size_t num_rows, std::vector<uint64_t>* out);
 
 /// First-appearance grouping: ids[k] is the group of row rows[k], with
 /// groups numbered 0, 1, 2, ... in the order they first appear in

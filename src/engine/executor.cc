@@ -460,7 +460,9 @@ class ExecutionContext {
     // endpoints compare numerically against integers under SQL
     // semantics, so they widen the span via floor/ceil; NULL, string
     // and bool endpoints can never satisfy the strict comparisons and
-    // do not contribute.
+    // do not contribute.  The cells are read through the two typed
+    // endpoint columns, so a columnar side never materializes its row
+    // view here.
     int obcol = left_side ? ov.right_begin : ov.left_begin;
     int oecol = left_side ? ov.right_end : ov.left_end;
     constexpr double kInt64Lo = -9223372036854775808.0;  // -2^63 exactly
@@ -469,8 +471,13 @@ class ExecutionContext {
     TimePoint lo = 0;
     TimePoint hi = 0;
     bool give_up = false;
-    auto bound = [&](const Value& v, bool round_down,
+    KernelColumns cols(other);
+    const ColumnData& obegin = cols.Column(static_cast<size_t>(obcol));
+    const ColumnData& oend = cols.Column(static_cast<size_t>(oecol));
+    auto bound = [&](const ColumnData& col, size_t i, bool round_down,
                      TimePoint* out) -> bool {
+      if (col.tag() == ColumnTag::kString) return false;
+      const Value v = col.Get(i);
       if (v.type() == ValueType::kInt) {
         *out = v.AsInt();
         return true;
@@ -485,11 +492,11 @@ class ExecutionContext {
       *out = static_cast<TimePoint>(d);
       return true;
     };
-    for (const Row& row : other.rows()) {
+    for (size_t i = 0; i < other.size(); ++i) {
       TimePoint b = 0;
       TimePoint e = 0;
-      bool has_b = bound(row[static_cast<size_t>(obcol)], true, &b);
-      bool has_e = bound(row[static_cast<size_t>(oecol)], false, &e);
+      bool has_b = bound(obegin, i, true, &b);
+      bool has_e = bound(oend, i, false, &e);
       if (give_up) return false;
       if (!has_b || !has_e) continue;
       if (!any || b < lo) lo = b;
@@ -653,7 +660,7 @@ int OpContext::num_threads(int64_t work) const {
   return n;
 }
 
-// Kernel entry is the one place the four columnar kernels may read a
+// Kernel entry is the one place the columnar kernels may read a
 // row view: to encode a row-stored input and to evaluate computed
 // expressions.
 // periodk-lint: columnar-lane-begin(kernel-columns)

@@ -200,7 +200,8 @@ struct OpContext {
 };
 
 /// The typed columns a columnar kernel (coalesce, split-aggregate, hash
-/// aggregation, timeslice) reads from its input.  A columnar input lends
+/// aggregation, timeslice, the overlap join's staging) reads from its
+/// input.  A columnar input lends
 /// its own columns; a row-stored input has each requested column encoded
 /// once from its row view into storage owned here, so the input -- maybe
 /// shared with other consumers -- is never copied or mutated.  Requests

@@ -13,38 +13,6 @@ namespace periodk {
 
 namespace {
 
-// One input row staged for the sweep with its decoded interval.
-struct SweepRow {
-  TimePoint begin = 0;
-  TimePoint end = 0;
-  const Row* row = nullptr;
-};
-
-// Per-equi-key bucket.  Rows whose endpoint columns decode to a
-// well-formed interval (integers, begin < end) ride the sweep; the rest
-// -- NULL or string endpoints, empty-validity rows -- can still satisfy
-// the raw predicate under SQL comparison semantics (an empty interval's
-// `b1 < e2 AND b2 < e1` holds against any interval containing it), so
-// they take the nested-loop slow lane.
-struct Bucket {
-  std::vector<SweepRow> fast_left;
-  std::vector<SweepRow> fast_right;
-  std::vector<const Row*> slow_left;
-  std::vector<const Row*> slow_right;
-};
-
-bool DecodeInterval(const Row& row, int bcol, int ecol, TimePoint* b,
-                    TimePoint* e) {
-  const Value& vb = row[static_cast<size_t>(bcol)];
-  const Value& ve = row[static_cast<size_t>(ecol)];
-  if (vb.type() != ValueType::kInt || ve.type() != ValueType::kInt) {
-    return false;
-  }
-  *b = vb.AsInt();
-  *e = ve.AsInt();
-  return *b < *e;
-}
-
 Row Concat(const Row& lrow, const Row& rrow) {
   Row combined;
   combined.reserve(lrow.size() + rrow.size());
@@ -52,347 +20,6 @@ Row Concat(const Row& lrow, const Row& rrow) {
   combined.insert(combined.end(), rrow.begin(), rrow.end());
   return combined;
 }
-
-// Reusable per-worker sweep scratch: the active sets keep arrival
-// (begin-stable) order and drop expired entries lazily during the
-// emission scan.  Arrival order makes the emitted row order a pure
-// function of the staged rows — removing a row that never overlaps
-// anything (index pruning) cannot perturb the order of the remaining
-// pairs, which is what makes the pruned join row-identical.
-using ActiveEntry = std::pair<TimePoint, const Row*>;
-struct SweepScratch {
-  std::vector<ActiveEntry> active_l;
-  std::vector<ActiveEntry> active_r;
-};
-
-/// Joins one bucket into `out`.  Mutates the bucket (sorts its staged
-/// rows), so each bucket must be processed by exactly one worker.
-void ProcessBucket(const Plan& plan, Bucket& bucket, Relation& out,
-                   SweepScratch& scratch) {
-  const JoinAnalysis& ja = plan.join;
-  // The sweep has already established the equi-keys (by bucketing) and
-  // the overlap conjunct; only the residual remains to check.
-  auto emit_fast = [&](const Row& lrow, const Row& rrow) {
-    Row combined = Concat(lrow, rrow);
-    if (ja.residual == nullptr || ja.residual->EvalBool(combined)) {
-      out.AddRow(std::move(combined));
-    }
-  };
-  // Slow-lane pairs get the full original predicate: re-checking the
-  // already-matched keys is harmless and keeps the lane trivially
-  // equivalent to the nested-loop reference.
-  auto emit_slow = [&](const Row& lrow, const Row& rrow) {
-    Row combined = Concat(lrow, rrow);
-    if (plan.predicate->EvalBool(combined)) {
-      out.AddRow(std::move(combined));
-    }
-  };
-
-  // Slow lane first: every pair with a malformed side.
-  for (const Row* lrow : bucket.slow_left) {
-    for (const SweepRow& r : bucket.fast_right) emit_slow(*lrow, *r.row);
-    for (const Row* rrow : bucket.slow_right) emit_slow(*lrow, *rrow);
-  }
-  for (const SweepRow& l : bucket.fast_left) {
-    for (const Row* rrow : bucket.slow_right) emit_slow(*l.row, *rrow);
-  }
-
-  // Plane sweep over the well-formed intervals: advance both inputs
-  // in begin order; an arriving interval pairs with every active
-  // opposite interval that has not yet ended.  Each overlapping pair
-  // is emitted exactly once, when its later-starting member arrives.
-  std::vector<SweepRow>& ls = bucket.fast_left;
-  std::vector<SweepRow>& rs = bucket.fast_right;
-  if (ls.empty() || rs.empty()) return;
-  auto by_begin = [](const SweepRow& a, const SweepRow& b) {
-    return a.begin < b.begin;
-  };
-  // Stable: rows sharing a begin stay in staging (= source) order, so
-  // the emitted order survives the removal of non-emitting rows.
-  std::stable_sort(ls.begin(), ls.end(), by_begin);
-  std::stable_sort(rs.begin(), rs.end(), by_begin);
-  std::vector<ActiveEntry>& active_l = scratch.active_l;
-  std::vector<ActiveEntry>& active_r = scratch.active_r;
-  active_l.clear();
-  active_r.clear();
-  // Emits `cur` against every still-active opposite entry, compacting
-  // expired entries (end <= cur.begin) out in the same pass.
-  auto emit_against = [](const SweepRow& cur,
-                         std::vector<ActiveEntry>& opposite,
-                         const auto& emit_pair) {
-    size_t kept = 0;
-    for (ActiveEntry& entry : opposite) {
-      if (entry.first > cur.begin) {
-        emit_pair(entry);
-        opposite[kept++] = entry;
-      }
-    }
-    opposite.resize(kept);
-  };
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ls.size() || j < rs.size()) {
-    bool take_left =
-        j >= rs.size() || (i < ls.size() && ls[i].begin <= rs[j].begin);
-    if (take_left) {
-      const SweepRow& cur = ls[i++];
-      emit_against(cur, active_r, [&](const ActiveEntry& entry) {
-        emit_fast(*cur.row, *entry.second);
-      });
-      active_l.emplace_back(cur.end, cur.row);
-    } else {
-      const SweepRow& cur = rs[j++];
-      emit_against(cur, active_l, [&](const ActiveEntry& entry) {
-        emit_fast(*entry.second, *cur.row);
-      });
-      active_r.emplace_back(cur.end, cur.row);
-    }
-  }
-}
-
-// --- Columnar fast lane -------------------------------------------------
-//
-// When both inputs are columnar, the endpoint columns are pure non-null
-// ints with every interval well-formed, the equi-keys pack into uint64
-// words and there is no residual predicate, the join never touches a
-// Row: buckets hold row *indexes*, the sweep emits (left, right) index
-// pairs, and the output is gathered column-by-column.  Any condition
-// the packed encoding cannot reproduce exactly falls back to the row
-// path above, which remains the semantic reference.
-
-struct FastSweepRow {
-  TimePoint begin = 0;
-  TimePoint end = 0;
-  uint32_t row = 0;
-};
-
-struct FastBucket {
-  std::vector<FastSweepRow> left;
-  std::vector<FastSweepRow> right;
-};
-
-using RowPair = std::pair<uint32_t, uint32_t>;
-
-struct FastSweepScratch {
-  std::vector<std::pair<TimePoint, uint32_t>> active_l;
-  std::vector<std::pair<TimePoint, uint32_t>> active_r;
-};
-
-// Index-pair twin of ProcessBucket's sweep: same begin-stable sort,
-// same arrival-order active sets, so it emits pairs in exactly the
-// order the row sweep emits rows.
-void SweepFastBucket(FastBucket& bucket, FastSweepScratch& scratch,
-                     std::vector<RowPair>& out) {
-  std::vector<FastSweepRow>& ls = bucket.left;
-  std::vector<FastSweepRow>& rs = bucket.right;
-  if (ls.empty() || rs.empty()) return;
-  auto by_begin = [](const FastSweepRow& a, const FastSweepRow& b) {
-    return a.begin < b.begin;
-  };
-  std::stable_sort(ls.begin(), ls.end(), by_begin);
-  std::stable_sort(rs.begin(), rs.end(), by_begin);
-  auto& active_l = scratch.active_l;
-  auto& active_r = scratch.active_r;
-  active_l.clear();
-  active_r.clear();
-  auto emit_against = [](const FastSweepRow& cur,
-                         std::vector<std::pair<TimePoint, uint32_t>>& opposite,
-                         const auto& emit_pair) {
-    size_t kept = 0;
-    for (auto& entry : opposite) {
-      if (entry.first > cur.begin) {
-        emit_pair(entry.second);
-        opposite[kept++] = entry;
-      }
-    }
-    opposite.resize(kept);
-  };
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ls.size() || j < rs.size()) {
-    bool take_left =
-        j >= rs.size() || (i < ls.size() && ls[i].begin <= rs[j].begin);
-    if (take_left) {
-      const FastSweepRow& cur = ls[i++];
-      emit_against(cur, active_r,
-                   [&](uint32_t r) { out.emplace_back(cur.row, r); });
-      active_l.emplace_back(cur.end, cur.row);
-    } else {
-      const FastSweepRow& cur = rs[j++];
-      emit_against(cur, active_l,
-                   [&](uint32_t l) { out.emplace_back(l, cur.row); });
-      active_r.emplace_back(cur.end, cur.row);
-    }
-  }
-}
-
-// Packs both sides' equi-key columns into comparable uint64 words.
-// Word equality must coincide with Value equality *across* the two
-// relations, so: the paired columns must share a tag (a mixed pairing
-// like int keys meeting double keys, where 3 == 3.0, has no shared
-// word encoding and keeps the row path), and the right side's
-// dictionary codes are translated into the left column's code space
-// (both dictionaries are sorted).  Right-side strings absent from the
-// left dictionary get codes past the left dictionary's range --
-// distinct from every left code and from each other, so those rows
-// bucket separately and never match, exactly like the row path.
-bool BuildJoinKeys(const Relation& left, const Relation& right,
-                   const std::vector<std::pair<int, int>>& equi_keys,
-                   std::vector<uint64_t>* lpacked,
-                   std::vector<uint64_t>* rpacked) {
-  std::vector<int> lcols;
-  std::vector<int> rcols;
-  lcols.reserve(equi_keys.size());
-  rcols.reserve(equi_keys.size());
-  for (const auto& [l, r] : equi_keys) {
-    lcols.push_back(l);
-    rcols.push_back(r);
-  }
-  for (size_t j = 0; j < lcols.size(); ++j) {
-    if (left.col(static_cast<size_t>(lcols[j])).tag() !=
-        right.col(static_cast<size_t>(rcols[j])).tag()) {
-      return false;
-    }
-  }
-  if (!BuildPackedKeys(left.columns(), lcols, left.size(), lpacked)) {
-    return false;
-  }
-  if (!BuildPackedKeys(right.columns(), rcols, right.size(), rpacked)) {
-    return false;
-  }
-  size_t width = lcols.size() + 1;
-  for (size_t j = 0; j < lcols.size(); ++j) {
-    const ColumnData& lc = left.col(static_cast<size_t>(lcols[j]));
-    const ColumnData& rc = right.col(static_cast<size_t>(rcols[j]));
-    if (lc.tag() != ColumnTag::kString || lc.dict() == rc.dict()) continue;
-    const std::vector<std::string>& lv = lc.dict()->values();
-    const std::vector<std::string>& rv = rc.dict()->values();
-    std::vector<uint64_t> remap(rv.size());
-    for (size_t c = 0; c < rv.size(); ++c) {
-      auto it = std::lower_bound(lv.begin(), lv.end(), rv[c]);
-      remap[c] = (it != lv.end() && *it == rv[c])
-                     ? static_cast<uint64_t>(it - lv.begin())
-                     : lv.size() + c;
-    }
-    uint64_t* word = rpacked->data() + j;
-    const uint64_t* nulls = rpacked->data() + lcols.size();
-    for (size_t i = 0; i < right.size(); ++i, word += width, nulls += width) {
-      if ((*nulls & (uint64_t{1} << j)) == 0) *word = remap[*word];
-    }
-  }
-  return true;
-}
-
-// periodk-lint: columnar-lane-begin(overlap-join)
-bool TryColumnarOverlapJoin(const Plan& plan, const Relation& left,
-                            const Relation& right, const OpContext& ctx,
-                            const JoinCandidates& candidates,
-                            Relation* result) {
-  const JoinAnalysis& ja = plan.join;
-  const OverlapSpec& ov = *ja.overlap;
-  if (ja.residual != nullptr) return false;
-  if (!left.is_columnar() || !right.is_columnar()) return false;
-  auto endpoints = [](const Relation& rel, int bcol, int ecol,
-                      const int64_t** bs, const int64_t** es) {
-    const ColumnData& bc = rel.col(static_cast<size_t>(bcol));
-    const ColumnData& ec = rel.col(static_cast<size_t>(ecol));
-    if (bc.tag() != ColumnTag::kInt || bc.has_nulls()) return false;
-    if (ec.tag() != ColumnTag::kInt || ec.has_nulls()) return false;
-    *bs = bc.ints();
-    *es = ec.ints();
-    // A malformed interval (begin >= end) rides the row path's slow
-    // lane, where it can still emit under SQL comparison semantics --
-    // one such row on either side disables the fast lane entirely.
-    for (size_t i = 0; i < rel.size(); ++i) {
-      if ((*bs)[i] >= (*es)[i]) return false;
-    }
-    return true;
-  };
-  const int64_t* lb = nullptr;
-  const int64_t* le = nullptr;
-  const int64_t* rb = nullptr;
-  const int64_t* re = nullptr;
-  if (!endpoints(left, ov.left_begin, ov.left_end, &lb, &le)) return false;
-  if (!endpoints(right, ov.right_begin, ov.right_end, &rb, &re)) return false;
-  std::vector<uint64_t> lpacked;
-  std::vector<uint64_t> rpacked;
-  if (!BuildJoinKeys(left, right, ja.equi_keys, &lpacked, &rpacked)) {
-    return false;
-  }
-
-  size_t width = ja.equi_keys.size() + 1;
-  std::vector<FastBucket> buckets;
-  PackedKeyMap bucket_map(width, /*expected=*/64);
-  auto stage = [&](bool is_left, const Relation& rel,
-                   const std::vector<uint64_t>& packed, const int64_t* bs,
-                   const int64_t* es, const std::vector<char>* keep) {
-    for (size_t i = 0; i < rel.size(); ++i) {
-      const uint64_t* key = &packed[i * width];
-      if (key[width - 1] != 0) continue;  // NULL keys never equi-join
-      uint32_t bid = bucket_map.FindOrInsert(key);
-      if (bid == buckets.size()) buckets.emplace_back();
-      // A pruned row overlaps nothing; its bucket is still created so
-      // the partition order matches the unpruned run.
-      if (keep != nullptr && (*keep)[i] == 0) continue;
-      (is_left ? buckets[bid].left : buckets[bid].right)
-          .push_back(FastSweepRow{bs[i], es[i], static_cast<uint32_t>(i)});
-    }
-  };
-  stage(/*is_left=*/true, left, lpacked, lb, le, candidates.left);
-  stage(/*is_left=*/false, right, rpacked, rb, re, candidates.right);
-
-  auto ranges = PlanChunks(
-      ctx.num_threads(static_cast<int64_t>(left.size() + right.size())),
-      static_cast<int64_t>(buckets.size()),
-      /*min_grain=*/1);
-  std::vector<RowPair> pairs;
-  if (ranges.size() <= 1) {
-    FastSweepScratch scratch;
-    for (FastBucket& bucket : buckets) {
-      SweepFastBucket(bucket, scratch, pairs);
-    }
-  } else {
-    std::vector<std::vector<RowPair>> chunk_pairs(ranges.size());
-    std::vector<ExecStats> chunk_stats(ranges.size());
-    RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
-      FastSweepScratch scratch;
-      for (int64_t i = b; i < e; ++i) {
-        SweepFastBucket(buckets[static_cast<size_t>(i)], scratch,
-                        chunk_pairs[c]);
-      }
-      chunk_stats[c].parallel_tasks = 1;
-    });
-    size_t total = 0;
-    for (const auto& cp : chunk_pairs) total += cp.size();
-    pairs.reserve(total);
-    for (const auto& cp : chunk_pairs) {
-      pairs.insert(pairs.end(), cp.begin(), cp.end());
-    }
-    if (ctx.stats != nullptr) {
-      for (const ExecStats& s : chunk_stats) ctx.stats->Merge(s);
-    }
-  }
-
-  std::vector<uint32_t> lidx;
-  std::vector<uint32_t> ridx;
-  lidx.reserve(pairs.size());
-  ridx.reserve(pairs.size());
-  for (const RowPair& p : pairs) {
-    lidx.push_back(p.first);
-    ridx.push_back(p.second);
-  }
-  std::vector<ColumnData> cols;
-  cols.reserve(plan.schema.size());
-  for (size_t c = 0; c < left.schema().size(); ++c) {
-    cols.push_back(ColumnData::Gather(left.col(c), lidx));
-  }
-  for (size_t c = 0; c < right.schema().size(); ++c) {
-    cols.push_back(ColumnData::Gather(right.col(c), ridx));
-  }
-  *result = Relation::FromColumns(plan.schema, std::move(cols), pairs.size());
-  return true;
-}
-// periodk-lint: columnar-lane-end(overlap-join)
 
 }  // namespace
 
@@ -417,53 +44,6 @@ Relation NestedLoopJoin(const Plan& plan, const Relation& left,
   // guarantees the parts conjoined back are the original under SQL
   // three-valued logic) and materialize only matching pairs.  Same
   // left-major emission order as the opaque path.
-  if (ja.equi_keys.empty() && ja.overlap.has_value() &&
-      ja.residual == nullptr) {
-    // Pure temporal join — the shape the tiny-join hint fires on.
-    // Decode the endpoints once into typed arrays so the pair loop is
-    // integer compares; bail to the generic Value loop only for
-    // non-int non-null endpoints (where cross-type SQL comparison
-    // rules must decide).
-    const OverlapSpec& ov = *ja.overlap;
-    auto extract = [](const Relation& rel, int bcol, int ecol,
-                      std::vector<TimePoint>* b, std::vector<TimePoint>* e,
-                      std::vector<char>* ok) {
-      const auto& rows = rel.rows();
-      b->resize(rows.size());
-      e->resize(rows.size());
-      ok->assign(rows.size(), 0);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const Value& vb = rows[i][static_cast<size_t>(bcol)];
-        const Value& ve = rows[i][static_cast<size_t>(ecol)];
-        if (vb.is_null() || ve.is_null()) continue;  // never matches
-        if (vb.type() != ValueType::kInt || ve.type() != ValueType::kInt) {
-          return false;
-        }
-        (*b)[i] = vb.AsInt();
-        (*e)[i] = ve.AsInt();
-        (*ok)[i] = 1;
-      }
-      return true;
-    };
-    std::vector<TimePoint> lb;
-    std::vector<TimePoint> le;
-    std::vector<TimePoint> rb;
-    std::vector<TimePoint> re;
-    std::vector<char> lok;
-    std::vector<char> rok;
-    if (extract(left, ov.left_begin, ov.left_end, &lb, &le, &lok) &&
-        extract(right, ov.right_begin, ov.right_end, &rb, &re, &rok)) {
-      for (size_t i = 0; i < left.rows().size(); ++i) {
-        if (lok[i] == 0) continue;
-        for (size_t j = 0; j < right.rows().size(); ++j) {
-          if (rok[j] != 0 && lb[i] < re[j] && rb[j] < le[i]) {
-            out.AddRow(Concat(left.rows()[i], right.rows()[j]));
-          }
-        }
-      }
-      return out;
-    }
-  }
   auto strictly_less = [](const Value& a, const Value& b) {
     const std::optional<int> c = SqlCompare(a, b);
     return c.has_value() && *c < 0;
@@ -497,6 +77,212 @@ Relation NestedLoopJoin(const Plan& plan, const Relation& left,
   return out;
 }
 
+// The overlap join reads typed endpoint and key columns only; the row
+// view is read just to emit row output and to check a predicate.
+// periodk-lint: columnar-lane-begin(overlap-join)
+namespace {
+
+// One well-formed input row staged for the sweep.
+struct Staged {
+  TimePoint begin = 0;
+  TimePoint end = 0;
+  uint32_t row = 0;
+};
+
+// Per-equi-key bucket.  Rows whose endpoints are non-NULL integers with
+// begin < end ride the sweep; the rest -- NULL, double or string
+// endpoints, empty or reversed intervals -- can still satisfy the raw
+// predicate under SQL comparison semantics (an empty interval's
+// `b1 < e2 AND b2 < e1` holds against any interval containing it), so
+// they take the nested-loop slow lane.
+struct Bucket {
+  std::vector<Staged> left;
+  std::vector<Staged> right;
+  std::vector<uint32_t> slow_left;
+  std::vector<uint32_t> slow_right;
+};
+
+using RowPair = std::pair<uint32_t, uint32_t>;
+
+// Reusable per-worker sweep scratch: the active sets keep arrival
+// (begin-stable) order and drop expired entries lazily during the
+// emission scan.  Arrival order makes the emitted order a pure function
+// of the staged rows — removing a row that never overlaps anything
+// (index pruning) cannot perturb the order of the remaining pairs,
+// which is what makes the pruned join row-identical.
+struct SweepScratch {
+  std::vector<std::pair<TimePoint, uint32_t>> active_l;
+  std::vector<std::pair<TimePoint, uint32_t>> active_r;
+};
+
+constexpr uint32_t kNoBucket = 0xffffffffu;
+
+// Cell i of an endpoint column as an integer; false for NULL and for
+// every other type (a mixed column is decided cell by cell).
+bool IntAt(const ColumnData& col, size_t i, TimePoint* out) {
+  if (col.IsNull(i)) return false;
+  if (col.tag() == ColumnTag::kInt) {
+    *out = col.ints()[i];
+    return true;
+  }
+  if (col.tag() != ColumnTag::kMixed) return false;
+  const Value& v = col.mixed()[i];
+  if (v.type() != ValueType::kInt) return false;
+  *out = v.AsInt();
+  return true;
+}
+
+// Joins one bucket: slow(l, r) for every pair with a malformed side --
+// each left slow row against the right rows, then the left well-formed
+// rows against the right slow rows, in staging (= source) order --
+// then sweep(l, r) for every overlapping pair of well-formed intervals.
+// Sorts the staged rows, so each bucket must be joined by exactly one
+// worker.
+template <typename SlowFn, typename SweepFn>
+void SweepBucket(Bucket& bucket, SweepScratch& scratch, const SlowFn& slow,
+                 const SweepFn& sweep) {
+  for (uint32_t l : bucket.slow_left) {
+    for (const Staged& r : bucket.right) slow(l, r.row);
+    for (uint32_t r : bucket.slow_right) slow(l, r);
+  }
+  for (const Staged& l : bucket.left) {
+    for (uint32_t r : bucket.slow_right) slow(l.row, r);
+  }
+
+  // Plane sweep over the well-formed intervals: advance both inputs in
+  // begin order; an arriving interval pairs with every active opposite
+  // interval that has not yet ended.  Each overlapping pair is emitted
+  // exactly once, when its later-starting member arrives.
+  std::vector<Staged>& ls = bucket.left;
+  std::vector<Staged>& rs = bucket.right;
+  if (ls.empty() || rs.empty()) return;
+  auto by_begin = [](const Staged& a, const Staged& b) {
+    return a.begin < b.begin;
+  };
+  // Stable: rows sharing a begin stay in staging order, so the emitted
+  // order survives the removal of non-emitting rows.
+  std::stable_sort(ls.begin(), ls.end(), by_begin);
+  std::stable_sort(rs.begin(), rs.end(), by_begin);
+  auto& active_l = scratch.active_l;
+  auto& active_r = scratch.active_r;
+  active_l.clear();
+  active_r.clear();
+  // Emits `cur` against every still-active opposite entry, compacting
+  // expired entries (end <= cur.begin) out in the same pass.
+  auto emit_against = [](const Staged& cur,
+                         std::vector<std::pair<TimePoint, uint32_t>>& opposite,
+                         const auto& emit_pair) {
+    size_t kept = 0;
+    for (auto& entry : opposite) {
+      if (entry.first > cur.begin) {
+        emit_pair(entry.second);
+        opposite[kept++] = entry;
+      }
+    }
+    opposite.resize(kept);
+  };
+  size_t i = 0;
+  size_t j = 0;
+  while (i < ls.size() || j < rs.size()) {
+    bool take_left =
+        j >= rs.size() || (i < ls.size() && ls[i].begin <= rs[j].begin);
+    if (take_left) {
+      const Staged& cur = ls[i++];
+      emit_against(cur, active_r, [&](uint32_t r) { sweep(cur.row, r); });
+      active_l.emplace_back(cur.end, cur.row);
+    } else {
+      const Staged& cur = rs[j++];
+      emit_against(cur, active_l, [&](uint32_t l) { sweep(l, cur.row); });
+      active_r.emplace_back(cur.end, cur.row);
+    }
+  }
+}
+
+// Assigns every row of both sides its bucket, numbered in
+// first-appearance order over the left rows and then the right rows;
+// a NULL key gets kNoBucket (NULL never equi-joins).  With no keys all
+// rows share bucket 0.  Returns whether the keys were packed.
+//
+// Two key equalities, both Value::Compare equality: when every key
+// pair shares a tag and is FastKeyable, keys are packed uint64 words
+// (BuildPackedKeys) with the right side's dictionary codes translated
+// into the left column's code space (both dictionaries are sorted;
+// right strings absent on the left get codes past the left dictionary,
+// distinct from every left code and from each other, so they never
+// match).  Otherwise -- a NaN double, a mixed column, int keys meeting
+// double keys (3 == 3.0 has no shared word) -- each key is a Row of
+// Get(i) values under RowEq.
+bool AssignBuckets(const std::vector<const ColumnData*>& lkeys,
+                   const std::vector<const ColumnData*>& rkeys, size_t nl,
+                   size_t nr, std::vector<uint32_t>* lids,
+                   std::vector<uint32_t>* rids) {
+  lids->resize(nl);
+  rids->resize(nr);
+  bool same_tags = true;
+  for (size_t j = 0; j < lkeys.size(); ++j) {
+    same_tags = same_tags && lkeys[j]->tag() == rkeys[j]->tag();
+  }
+  std::vector<uint64_t> lpacked;
+  std::vector<uint64_t> rpacked;
+  if (same_tags && BuildPackedKeys(lkeys, nl, &lpacked) &&
+      BuildPackedKeys(rkeys, nr, &rpacked)) {
+    const size_t width = lkeys.size() + 1;
+    for (size_t j = 0; j < lkeys.size(); ++j) {
+      const ColumnData& lc = *lkeys[j];
+      const ColumnData& rc = *rkeys[j];
+      if (lc.tag() != ColumnTag::kString || lc.dict() == rc.dict()) continue;
+      const std::vector<std::string>& lv = lc.dict()->values();
+      const std::vector<std::string>& rv = rc.dict()->values();
+      std::vector<uint64_t> remap(rv.size());
+      for (size_t c = 0; c < rv.size(); ++c) {
+        auto it = std::lower_bound(lv.begin(), lv.end(), rv[c]);
+        remap[c] = (it != lv.end() && *it == rv[c])
+                       ? static_cast<uint64_t>(it - lv.begin())
+                       : lv.size() + c;
+      }
+      uint64_t* word = rpacked.data() + j;
+      const uint64_t* nulls = rpacked.data() + lkeys.size();
+      for (size_t i = 0; i < nr; ++i, word += width, nulls += width) {
+        if ((*nulls & (uint64_t{1} << j)) == 0) *word = remap[*word];
+      }
+    }
+    PackedKeyMap map(width, /*expected=*/64);
+    auto assign = [&](const std::vector<uint64_t>& packed,
+                      std::vector<uint32_t>* ids) {
+      for (size_t i = 0; i < ids->size(); ++i) {
+        const uint64_t* key = &packed[i * width];
+        (*ids)[i] = key[width - 1] != 0 ? kNoBucket : map.FindOrInsert(key);
+      }
+    };
+    assign(lpacked, lids);
+    assign(rpacked, rids);
+    return true;
+  }
+  std::unordered_map<Row, uint32_t, RowHash, RowEq> map;
+  auto assign = [&](const std::vector<const ColumnData*>& keys,
+                    std::vector<uint32_t>* ids) {
+    for (size_t i = 0; i < ids->size(); ++i) {
+      Row key;
+      key.reserve(keys.size());
+      for (const ColumnData* col : keys) {
+        Value v = col->Get(i);
+        if (v.is_null()) break;
+        key.push_back(std::move(v));
+      }
+      (*ids)[i] = key.size() < keys.size()
+                      ? kNoBucket
+                      : map.try_emplace(std::move(key),
+                                        static_cast<uint32_t>(map.size()))
+                            .first->second;
+    }
+  };
+  assign(lkeys, lids);
+  assign(rkeys, rids);
+  return false;
+}
+
+}  // namespace
+
 Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
                              const Relation& right, const OpContext& ctx,
                              const JoinCandidates& candidates) {
@@ -504,92 +290,150 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
   if (!ja.overlap.has_value()) {
     throw EngineError("IntervalOverlapJoin requires an overlap conjunct");
   }
+  if (left.size() >= kNoBucket || right.size() >= kNoBucket) {
+    throw EngineError("IntervalOverlapJoin input exceeds 2^32 - 1 rows");
+  }
   const OverlapSpec& ov = *ja.overlap;
 
-  Relation fast(plan.schema);
-  if (TryColumnarOverlapJoin(plan, left, right, ctx, candidates, &fast)) {
-    return fast;
+  // Stage both sides from their typed key and endpoint columns (a
+  // row-stored input has just those columns encoded).  Buckets are
+  // created in first-appearance order of their key, left side first;
+  // a pruned row still creates its bucket, so the partition order --
+  // and with it the output order -- matches the unpruned run.
+  KernelColumns lin(left);
+  KernelColumns rin(right);
+  std::vector<const ColumnData*> lkeys;
+  std::vector<const ColumnData*> rkeys;
+  for (const auto& [l, r] : ja.equi_keys) {
+    lkeys.push_back(&lin.Column(static_cast<size_t>(l)));
+    rkeys.push_back(&rin.Column(static_cast<size_t>(r)));
   }
-
-  // Hash-partition both inputs on the equi-keys (single bucket for a
-  // pure temporal join).  NULL keys never equi-join, matching the
-  // three-valued semantics of the predicate they came from.  Buckets
-  // are kept in first-appearance order of their key -- the same order
-  // the columnar lane produces, so the two lanes emit identical output.
-  std::unordered_map<Row, size_t, RowHash, RowEq> bucket_of;
+  std::vector<uint32_t> lids;
+  std::vector<uint32_t> rids;
+  const bool packed =
+      AssignBuckets(lkeys, rkeys, left.size(), right.size(), &lids, &rids);
   std::vector<Bucket> buckets;
-  auto stage = [&](const Relation& rel, bool is_left) {
-    int bcol = is_left ? ov.left_begin : ov.right_begin;
-    int ecol = is_left ? ov.left_end : ov.right_end;
+  bool all_well_formed = true;
+  auto stage = [&](bool is_left, KernelColumns& in,
+                   const std::vector<uint32_t>& ids) {
+    const int bc = is_left ? ov.left_begin : ov.right_begin;
+    const int ec = is_left ? ov.left_end : ov.right_end;
+    const ColumnData& bcol = in.Column(static_cast<size_t>(bc));
+    const ColumnData& ecol = in.Column(static_cast<size_t>(ec));
     const std::vector<char>* keep =
         is_left ? candidates.left : candidates.right;
-    const auto& rows = rel.rows();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      Row key;
-      key.reserve(ja.equi_keys.size());
-      bool has_null = false;
-      for (const auto& [l, r] : ja.equi_keys) {
-        const Value& v = row[static_cast<size_t>(is_left ? l : r)];
-        if (v.is_null()) {
-          has_null = true;
-          break;
-        }
-        key.push_back(v);
-      }
-      if (has_null) continue;
-      auto [bit, binserted] =
-          bucket_of.try_emplace(std::move(key), buckets.size());
-      if (binserted) buckets.emplace_back();
-      Bucket& bucket = buckets[bit->second];
+    for (uint32_t i = 0; i < ids.size(); ++i) {
       TimePoint b = 0;
       TimePoint e = 0;
-      if (DecodeInterval(row, bcol, ecol, &b, &e)) {
+      const bool well_formed =
+          IntAt(bcol, i, &b) && IntAt(ecol, i, &e) && b < e;
+      all_well_formed = all_well_formed && well_formed;
+      if (ids[i] == kNoBucket) continue;
+      if (ids[i] == buckets.size()) buckets.emplace_back();
+      Bucket& bucket = buckets[ids[i]];
+      if (!well_formed) {
+        (is_left ? bucket.slow_left : bucket.slow_right).push_back(i);
+      } else if (keep == nullptr || (*keep)[i] != 0) {
         // A pruned row provably overlaps nothing on the opposite side.
-        // Its bucket is still created above so the partition set — and
-        // with it the output's partition order — matches the unpruned
-        // run exactly.
-        if (keep == nullptr || (*keep)[i] != 0) {
-          (is_left ? bucket.fast_left : bucket.fast_right)
-              .push_back(SweepRow{b, e, &row});
-        }
-      } else {
-        (is_left ? bucket.slow_left : bucket.slow_right).push_back(&row);
+        (is_left ? bucket.left : bucket.right).push_back(Staged{b, e, i});
       }
     }
   };
-  stage(left, /*is_left=*/true);
-  stage(right, /*is_left=*/false);
+  stage(/*is_left=*/true, lin, lids);
+  stage(/*is_left=*/false, rin, rids);
 
-  // The partitions the sweep needs anyway are the parallel work units:
-  // chunks of buckets fan out to the pool, each emitting into its own
-  // output slot, concatenated in partition order afterwards — so the
-  // result row order depends only on the chunk plan, not on worker
-  // scheduling.  A single-bucket join (pure temporal, no equi-keys)
-  // stays sequential by construction.
+  // Output layout: gathered columns when both inputs are columnar, no
+  // predicate remains to check, every interval is well-formed and the
+  // keys packed; Concat rows otherwise, checked against the residual
+  // (sweep pairs) or the full predicate (slow-lane pairs).
+  const bool columnar_out = left.is_columnar() && right.is_columnar() &&
+                            ja.residual == nullptr && all_well_formed &&
+                            packed;
+  const std::vector<Row>* lrows = nullptr;
+  const std::vector<Row>* rrows = nullptr;
+  if (!columnar_out) {
+    // periodk-lint: allow(row-api-in-columnar-lane): row output, fetched
+    // before the fan-out
+    lrows = &left.rows();
+    // periodk-lint: allow(row-api-in-columnar-lane): row output
+    rrows = &right.rows();
+  }
+
+  // The buckets are the parallel work units: chunks of buckets fan out
+  // to the pool, each emitting into its own slot, concatenated in
+  // bucket order afterwards — so the output order depends only on the
+  // staged rows, not on the chunk plan or worker scheduling.  A
+  // single-bucket join (pure temporal, no equi-keys) stays sequential.
   auto ranges = PlanChunks(
       ctx.num_threads(static_cast<int64_t>(left.size() + right.size())),
       static_cast<int64_t>(buckets.size()),
       /*min_grain=*/1);
-
-  if (ranges.size() <= 1) {
-    Relation out(plan.schema);
-    SweepScratch scratch;
-    for (Bucket& bucket : buckets) {
-      ProcessBucket(plan, bucket, out, scratch);
-    }
-    return out;
-  }
-  std::vector<Relation> outs(ranges.size(), Relation(plan.schema));
+  const bool fan_out = ranges.size() > 1;
+  std::vector<std::vector<RowPair>> chunk_pairs(ranges.size());
+  std::vector<Relation> chunk_rows(columnar_out ? 0 : ranges.size(),
+                                   Relation(plan.schema));
   std::vector<ExecStats> chunk_stats(ranges.size());
-  RunChunks(ctx.pool->get(), ranges, [&](size_t c, int64_t b, int64_t e) {
+  RunChunks(fan_out ? ctx.pool->get() : nullptr, ranges,
+            [&](size_t c, int64_t b, int64_t e) {
     SweepScratch scratch;
-    for (int64_t i = b; i < e; ++i) {
-      ProcessBucket(plan, buckets[static_cast<size_t>(i)], outs[c], scratch);
+    for (int64_t k = b; k < e; ++k) {
+      Bucket& bucket = buckets[static_cast<size_t>(k)];
+      if (columnar_out) {
+        // No slow-lane rows and nothing to check: bare index pairs.
+        auto pair = [&](uint32_t l, uint32_t r) {
+          chunk_pairs[c].emplace_back(l, r);
+        };
+        SweepBucket(bucket, scratch, pair, pair);
+        continue;
+      }
+      Relation& out = chunk_rows[c];
+      auto emit = [&](const Expr* check, uint32_t l, uint32_t r) {
+        Row combined = Concat((*lrows)[l], (*rrows)[r]);
+        if (check == nullptr || check->EvalBool(combined)) {
+          // periodk-lint: allow(row-api-in-columnar-lane): row output
+          out.AddRow(std::move(combined));
+        }
+      };
+      // The sweep has established the equi-keys (by bucketing) and the
+      // overlap; only the residual remains.  Slow-lane pairs get the
+      // full predicate: re-checking the matched keys is harmless and
+      // keeps the lane trivially equivalent to the nested loop.
+      SweepBucket(
+          bucket, scratch,
+          [&](uint32_t l, uint32_t r) { emit(plan.predicate.get(), l, r); },
+          [&](uint32_t l, uint32_t r) { emit(ja.residual.get(), l, r); });
     }
-    chunk_stats[c].parallel_tasks = 1;
+    chunk_stats[c].parallel_tasks = fan_out ? 1 : 0;
   });
-  return GatherChunks(std::move(outs), std::move(chunk_stats), ctx);
+  if (!columnar_out) {
+    return GatherChunks(std::move(chunk_rows), std::move(chunk_stats), ctx);
+  }
+  if (ctx.stats != nullptr) {
+    for (const ExecStats& s : chunk_stats) ctx.stats->Merge(s);
+  }
+
+  size_t total = 0;
+  for (const auto& cp : chunk_pairs) total += cp.size();
+  std::vector<uint32_t> lidx;
+  std::vector<uint32_t> ridx;
+  lidx.reserve(total);
+  ridx.reserve(total);
+  for (const auto& cp : chunk_pairs) {
+    for (const RowPair& p : cp) {
+      lidx.push_back(p.first);
+      ridx.push_back(p.second);
+    }
+  }
+  std::vector<ColumnData> cols;
+  cols.reserve(plan.schema.size());
+  for (size_t c = 0; c < left.schema().size(); ++c) {
+    cols.push_back(ColumnData::Gather(left.col(c), lidx));
+  }
+  for (size_t c = 0; c < right.schema().size(); ++c) {
+    cols.push_back(ColumnData::Gather(right.col(c), ridx));
+  }
+  return Relation::FromColumns(plan.schema, std::move(cols), total);
 }
+// periodk-lint: columnar-lane-end(overlap-join)
 
 }  // namespace periodk

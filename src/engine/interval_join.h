@@ -17,10 +17,10 @@ namespace periodk {
 /// Optional per-side sweep pruning, produced by the executor from a
 /// table's TimelineIndex (AliveInRange over the opposite side's
 /// endpoint span).  Bit i false marks source row i as provably unable
-/// to overlap anything on the opposite side, so the sweep's fast lane
-/// skips it; nullptr keeps every row.  Pruning never touches the slow
-/// lane (malformed-interval rows are absent from the index anyway), and
-/// the pruned join is row-identical — same rows, same order — to the
+/// to overlap anything on the opposite side, so the sweep skips it;
+/// nullptr keeps every row.  Pruning never touches the slow lane
+/// (malformed-interval rows are absent from the index anyway), and the
+/// pruned join is row-identical — same rows, same order — to the
 /// unpruned one.
 struct JoinCandidates {
   const std::vector<char>* left = nullptr;
@@ -29,20 +29,31 @@ struct JoinCandidates {
 
 /// Executes a kJoin plan whose analysis carries an overlap conjunct
 /// (plan.join.overlap must be set).  Exactly equivalent to evaluating
-/// plan.predicate over the cross product: rows whose endpoint columns
-/// are not well-formed intervals (non-integer values, begin >= end) are
-/// routed through a per-partition nested-loop slow lane so SQL
+/// plan.predicate over the cross product.  One lane serves both
+/// storage layouts: it reads only the typed endpoint and equi-key
+/// columns (a row-stored input has just those encoded), buckets rows by
+/// key in first-appearance order, and sweeps each bucket's well-formed
+/// intervals as row-index pairs.  Rows whose endpoints are not
+/// well-formed (non-integer or NULL values, begin >= end) go to the
+/// bucket's nested-loop slow lane, whose pairs come first, so SQL
 /// three-valued comparison semantics are preserved bit-for-bit.
-/// With a pool in `ctx` the equi-key partitions fan out to workers
-/// (a pure temporal join has one partition and stays sequential).
+/// Output is columnar (gathered column by column) when both inputs are
+/// columnar, no residual remains, every interval is well-formed and the
+/// keys pack into words; otherwise it is row-stored, each pair checked
+/// against the residual or, in the slow lane, the full predicate.
+/// With a pool in `ctx` the equi-key buckets fan out to workers (a pure
+/// temporal join has one bucket and stays sequential); the output is
+/// row-identical at any thread count and in either input layout.
 Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
                              const Relation& right, const OpContext& ctx = {},
                              const JoinCandidates& candidates = {});
 
-/// Reference implementation: O(n * m) nested loop evaluating the full
-/// join predicate on every pair.  Kept as the correctness baseline for
-/// the property tests and benchmarks, and as the executor's fallback
-/// for genuinely opaque predicates.
+/// Reference implementation: O(n * m) nested loop, left-major, testing
+/// the analyzed conjuncts (or, for a genuinely opaque predicate, the
+/// whole predicate) on every pair.  Kept as the correctness baseline
+/// for the property tests and benchmarks, as the executor's fallback
+/// for opaque predicates, and for joins the cost model's tiny-join hint
+/// marks nested-loop.
 Relation NestedLoopJoin(const Plan& plan, const Relation& left,
                         const Relation& right);
 

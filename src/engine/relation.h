@@ -5,12 +5,14 @@
 //
 // A relation owns its data in one of two physical layouts:
 //   * row storage (the default for operator outputs): vector<Row>;
-//   * columnar storage (stored tables, and the outputs of coalesce,
-//     timeslice and the overlap join's columnar lane): one typed
-//     ColumnData per schema column (engine/column.h).
-// Coalesce, split-aggregate, hash aggregation and timeslice read typed
-// columns only; a row-stored input is encoded at kernel entry
-// (KernelColumns, engine/executor.h).  The other operators use the row
+//   * columnar storage (stored tables, the outputs of coalesce and
+//     timeslice, and an overlap join's output over columnar inputs
+//     with no predicate left to check): one typed ColumnData per
+//     schema column (engine/column.h).
+// Coalesce, split-aggregate, hash aggregation, timeslice and the
+// overlap join's staging read typed columns only; a row-stored input
+// has the columns it needs encoded at kernel entry (KernelColumns,
+// engine/executor.h).  The other operators use the row
 // API, which works over both layouts: rows() on a columnar relation
 // lazily materializes a cached row *view* (thread-safe -- base tables
 // are shared across concurrent queries), and the mutating entry points

@@ -85,7 +85,7 @@ TEST(ColumnDataTest, PackedKeysMatchValueEquality) {
   std::vector<ColumnData> cols = {ColumnData::Encode(rows, 0)};
   ASSERT_TRUE(FastKeyable(cols[0]));
   std::vector<uint64_t> keys;
-  ASSERT_TRUE(BuildPackedKeys(cols, {0}, rows.size(), &keys));
+  ASSERT_TRUE(BuildPackedKeys({&cols[0]}, rows.size(), &keys));
   ASSERT_EQ(keys.size(), 4u);  // 2 rows x (1 key word + null word)
   EXPECT_EQ(keys[0], keys[2]);
   std::vector<Row> nan_rows = {{Value::Double(0.0 / 0.0)}};

@@ -4,8 +4,16 @@
 // asserting bag equality against the nested-loop reference across
 // equi+overlap and overlap-only predicates -- including NULL keys,
 // NULL/ill-typed endpoints and empty-validity rows, which must take the
-// slow lane rather than silently diverge from SQL comparison semantics.
+// slow lane rather than silently diverge from SQL comparison semantics
+// -- and row identity across storage layouts, thread counts and index
+// pruning.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/str_util.h"
@@ -159,49 +167,320 @@ TEST(IntervalJoinTest, EmptyIntervalCanStillMatchViaSlowLane) {
       NestedLoopJoin(*join, catalog.Get("r"), catalog.Get("s"))));
 }
 
-TEST(IntervalJoinPropertyTest, SweepEqualsNestedLoopReference) {
-  TimeDomain domain{0, 40};
-  for (uint64_t seed = 0; seed < 120; ++seed) {
-    Rng rng(seed * 7919 + 17);
-    Catalog catalog = RandomEncodedCatalog(&rng, domain, /*max_rows=*/25,
-                                           /*null_chance=*/0.2,
-                                           /*empty_validity_chance=*/0.15);
-    std::vector<ExprPtr> preds = {
-        // Pure temporal join (the nested-loop killer).
-        OverlapPred(),
-        // REWR's equi + overlap shape.
-        And(Eq(Col(0), Col(4)), OverlapPred()),
-        // With an extra opaque residual.
-        AndAll({Eq(Col(0), Col(4)), OverlapPred(), Ne(Col(1), Col(5))}),
-        // Flipped comparison spelling.
-        And(Gt(Col(7), Col(2)), Gt(Col(3), Col(6))),
-        // Data columns participating in the inequality pair: still a
-        // valid "overlap" of derived intervals, still must agree.
-        And(Lt(Col(1), Col(5)), Lt(Col(6), Col(3))),
-    };
-    for (size_t p = 0; p < preds.size(); ++p) {
-      PlanPtr join = MakeJoin(MakeScan("r", EncodedAbSchema()),
-                              MakeScan("s", EncodedAbSchema()), preds[p]);
-      ASSERT_TRUE(join->join.overlap.has_value());
-      Relation sweep = Execute(join, catalog);
-      Relation reference = NestedLoopJoin(*join, catalog.Get("r"),
-                                          catalog.Get("s"));
-      ASSERT_TRUE(sweep.BagEquals(reference))
-          << "seed " << seed << " predicate #" << p << "\nsweep:\n"
-          << sweep.ToString() << "reference:\n" << reference.ToString();
+enum class KeyKind { kInt, kDouble, kString, kMixed };
+
+// A key cell: NULL, or one of four values of `kind`.  Left strings are
+// "a".."d" and right strings "c".."f", so the two sides' dictionaries
+// differ and only partly overlap; doubles include -0.0, which must
+// equal +0.0 and int 0.
+Value RandomKey(Rng* rng, KeyKind kind, bool right_side) {
+  if (rng->Chance(0.15)) return Value::Null();
+  const int64_t k = rng->Range(0, 3);
+  const char c = static_cast<char>((right_side ? 'c' : 'a') + k);
+  const Value str = Value::String(std::string(1, c));
+  switch (kind) {
+    case KeyKind::kInt:
+      return Value::Int(k);
+    case KeyKind::kDouble:
+      return Value::Double(k == 0 && rng->Chance(0.5) ? -0.0 : 0.5 * k);
+    case KeyKind::kString:
+      return str;
+    case KeyKind::kMixed:
+      return rng->Chance(0.5) ? Value::Int(k) : str;
+  }
+  return Value::Null();
+}
+
+// {a, b, a_begin, a_end} rows: `a` a key of `kind`, `b` a small int
+// (or NULL), and with chance `bad_chance` an endpoint pair the sweep
+// cannot stage -- NULL, double or string endpoints, or begin >= end.
+Relation RandomJoinInput(Rng* rng, KeyKind kind, bool right_side,
+                         double bad_chance) {
+  Relation rel(EncodedAbSchema());
+  const int n = static_cast<int>(rng->Uniform(26));
+  for (int i = 0; i < n; ++i) {
+    const TimePoint b = rng->Range(0, 38);
+    Value vb = Value::Int(b);
+    Value ve = Value::Int(rng->Range(b + 1, 39));
+    if (rng->Chance(bad_chance)) {
+      switch (rng->Uniform(5)) {
+        case 0:
+          (rng->Chance(0.5) ? vb : ve) = Value::Null();
+          break;
+        case 1:
+          vb = Value::Double(static_cast<double>(b) + 0.5);
+          break;
+        case 2:
+          ve = Value::Double(static_cast<double>(b) + 2.25);
+          break;
+        case 3:
+          vb = Value::String("x");
+          break;
+        default:
+          ve = Value::Int(rng->Range(0, b));
+          break;
+      }
+    }
+    const Value data =
+        rng->Chance(0.1) ? Value::Null() : Value::Int(rng->Range(0, 3));
+    rel.AddRow({RandomKey(rng, kind, right_side), data, vb, ve});
+  }
+  return rel;
+}
+
+// The output layout rule: gathered columns exactly when both inputs are
+// columnar, no residual remains, every endpoint pair is a well-formed
+// int interval and every key pair packs (shared tag, FastKeyable).
+bool ExpectColumnarOutput(const Plan& join, const Relation& l,
+                          const Relation& r) {
+  if (!l.is_columnar() || !r.is_columnar() || join.join.residual != nullptr) {
+    return false;
+  }
+  const OverlapSpec& ov = *join.join.overlap;
+  auto well_formed = [](const Relation& rel, int bcol, int ecol) {
+    const ColumnData& bc = rel.col(static_cast<size_t>(bcol));
+    const ColumnData& ec = rel.col(static_cast<size_t>(ecol));
+    if (bc.tag() != ColumnTag::kInt || ec.tag() != ColumnTag::kInt ||
+        bc.has_nulls() || ec.has_nulls()) {
+      return false;
+    }
+    for (size_t i = 0; i < rel.size(); ++i) {
+      if (bc.ints()[i] >= ec.ints()[i]) return false;
+    }
+    return true;
+  };
+  if (!well_formed(l, ov.left_begin, ov.left_end) ||
+      !well_formed(r, ov.right_begin, ov.right_end)) {
+    return false;
+  }
+  for (const auto& [lc, rc] : join.join.equi_keys) {
+    const ColumnData& a = l.col(static_cast<size_t>(lc));
+    const ColumnData& b = r.col(static_cast<size_t>(rc));
+    if (a.tag() != b.tag() || !FastKeyable(a) || !FastKeyable(b)) {
+      return false;
     }
   }
+  return true;
+}
+
+// The join's documented emission order, computed naively from the row
+// views: buckets in first-appearance order of their key (left rows,
+// then right rows; a NULL key joins nothing); per bucket, first the
+// slow-lane pairs -- each left row with a malformed interval against
+// every right row, then each well-formed left row against the
+// malformed right rows, in source order, checked against the full
+// predicate -- then the sweep pairs.  The sweep visits the well-formed
+// rows in arrival order (begin, left before right, then source order)
+// and pairs each arriving row with every earlier-arrived opposite row
+// still open, in arrival order; those pairs are checked against the
+// residual.
+Relation ExpectedJoinOrder(const Plan& join, const Relation& l,
+                           const Relation& r) {
+  struct Side {
+    std::vector<size_t> staged;
+    std::vector<size_t> slow;
+  };
+  const JoinAnalysis& ja = join.join;
+  const OverlapSpec& ov = *ja.overlap;
+  std::vector<std::pair<Side, Side>> buckets;
+  std::unordered_map<Row, size_t, RowHash, RowEq> bucket_of;
+  // Endpoint column indexes of one side.
+  auto endpoints = [&](bool left) {
+    return std::pair{static_cast<size_t>(left ? ov.left_begin : ov.right_begin),
+                     static_cast<size_t>(left ? ov.left_end : ov.right_end)};
+  };
+  auto stage = [&](const Relation& rel, bool left) {
+    const auto [bcol, ecol] = endpoints(left);
+    for (size_t i = 0; i < rel.size(); ++i) {
+      const Row& row = rel.rows()[i];
+      Row key;
+      for (const auto& [lc, rc] : ja.equi_keys) {
+        key.push_back(row[static_cast<size_t>(left ? lc : rc)]);
+      }
+      if (std::any_of(key.begin(), key.end(),
+                      [](const Value& v) { return v.is_null(); })) {
+        continue;
+      }
+      auto [it, fresh] = bucket_of.try_emplace(key, buckets.size());
+      if (fresh) buckets.emplace_back();
+      auto& [lside, rside] = buckets[it->second];
+      Side& side = left ? lside : rside;
+      const bool well_formed = row[bcol].type() == ValueType::kInt &&
+                               row[ecol].type() == ValueType::kInt &&
+                               row[bcol].AsInt() < row[ecol].AsInt();
+      (well_formed ? side.staged : side.slow).push_back(i);
+    }
+  };
+  stage(l, true);
+  stage(r, false);
+  Relation out(join.schema);
+  auto emit = [&](const Expr* check, size_t li, size_t ri) {
+    Row row = l.rows()[li];
+    row.insert(row.end(), r.rows()[ri].begin(), r.rows()[ri].end());
+    if (check == nullptr || check->EvalBool(row)) out.AddRow(std::move(row));
+  };
+  auto interval = [&](bool left, size_t i) {
+    const Row& row = (left ? l : r).rows()[i];
+    const auto [bcol, ecol] = endpoints(left);
+    return std::pair{row[bcol].AsInt(), row[ecol].AsInt()};
+  };
+  for (const auto& [ls, rs] : buckets) {
+    for (size_t li : ls.slow) {
+      for (size_t ri : rs.staged) emit(join.predicate.get(), li, ri);
+      for (size_t ri : rs.slow) emit(join.predicate.get(), li, ri);
+    }
+    for (size_t li : ls.staged) {
+      for (size_t ri : rs.slow) emit(join.predicate.get(), li, ri);
+    }
+    std::vector<std::pair<bool, size_t>> arrivals;  // {is_right, row}
+    for (size_t li : ls.staged) arrivals.emplace_back(false, li);
+    for (size_t ri : rs.staged) arrivals.emplace_back(true, ri);
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [&](const auto& a, const auto& b) {
+                       const TimePoint ab = interval(!a.first, a.second).first;
+                       const TimePoint bb = interval(!b.first, b.second).first;
+                       return ab != bb ? ab < bb : a.first < b.first;
+                     });
+    for (size_t c = 0; c < arrivals.size(); ++c) {
+      const auto [c_right, c_row] = arrivals[c];
+      for (size_t e = 0; e < c; ++e) {
+        const auto [e_right, e_row] = arrivals[e];
+        const TimePoint c_begin = interval(!c_right, c_row).first;
+        if (e_right == c_right || interval(!e_right, e_row).second <= c_begin) {
+          continue;
+        }
+        if (c_right) {
+          emit(ja.residual.get(), e_row, c_row);
+        } else {
+          emit(ja.residual.get(), c_row, e_row);
+        }
+      }
+    }
+  }
+  return out;
 }
 
 /// Exact comparison: same rows in the same order.  The index-pruned
-/// sweep promises row identity with the unindexed sweep, not just bag
-/// equality.
+/// sweep promises row identity with the unindexed sweep, and the two
+/// storage layouts promise it with each other, not just bag equality.
 void ExpectRowsIdentical(const Relation& got, const Relation& want,
                          const std::string& context) {
   ASSERT_EQ(got.size(), want.size()) << context;
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got.rows()[i], want.rows()[i]) << context << " at row " << i;
   }
+}
+
+TEST(IntervalJoinPropertyTest, SweepEqualsNestedLoopReference) {
+  // Every random case runs with each input row-stored or columnar, at
+  // 1 and 4 threads (fan-out ungated), with and without timeline-index
+  // candidates.  Each run must be bag-equal to the nested loop,
+  // row-identical to the sequential unpruned all-row-stored run, and in
+  // the layout the output rule names.
+  const std::vector<std::pair<KeyKind, KeyKind>> key_kinds = {
+      {KeyKind::kInt, KeyKind::kInt},
+      {KeyKind::kInt, KeyKind::kDouble},
+      {KeyKind::kDouble, KeyKind::kDouble},
+      {KeyKind::kString, KeyKind::kString},
+      {KeyKind::kMixed, KeyKind::kString},
+      {KeyKind::kInt, KeyKind::kMixed},
+  };
+  const std::vector<ExprPtr> preds = {
+      // Pure temporal join (the nested-loop killer).
+      OverlapPred(),
+      // REWR's equi + overlap shape.
+      And(Eq(Col(0), Col(4)), OverlapPred()),
+      // With an extra opaque residual.
+      AndAll({Eq(Col(0), Col(4)), OverlapPred(), Ne(Col(1), Col(5))}),
+      // Two equi-keys.
+      AndAll({Eq(Col(0), Col(4)), Eq(Col(1), Col(5)), OverlapPred()}),
+      // Flipped comparison spelling.
+      And(Gt(Col(7), Col(2)), Gt(Col(3), Col(6))),
+      // Data columns participating in the inequality pair: still a
+      // valid "overlap" of derived intervals, still must agree.
+      And(Lt(Col(1), Col(5)), Lt(Col(6), Col(3))),
+  };
+  // Runs that reached each path, so a generator change cannot silently
+  // stop covering one.
+  int columnar_runs = 0;
+  int slow_lane_runs = 0;
+  int pruned_runs = 0;
+  int fanned_out_runs = 0;
+  for (uint64_t seed = 0; seed < 120; ++seed) {
+    Rng rng(seed * 7919 + 17);
+    const auto [lkind, rkind] = key_kinds[seed % key_kinds.size()];
+    // Every other seed has only well-formed intervals, so the columnar
+    // output is reached.
+    const double bad_chance = seed % 2 == 0 ? 0.0 : 0.2;
+    const Relation r = RandomJoinInput(&rng, lkind, false, bad_chance);
+    const Relation s = RandomJoinInput(&rng, rkind, true, bad_chance);
+    bool has_slow_rows = false;
+    for (const Relation* rel : {&r, &s}) {
+      for (const Row& row : rel->rows()) {
+        has_slow_rows = has_slow_rows || row[2].type() != ValueType::kInt ||
+                        row[3].type() != ValueType::kInt ||
+                        row[2].AsInt() >= row[3].AsInt();
+      }
+    }
+    for (size_t p = 0; p < preds.size(); ++p) {
+      PlanPtr join = MakeJoin(MakeScan("r", EncodedAbSchema()),
+                              MakeScan("s", EncodedAbSchema()), preds[p]);
+      ASSERT_TRUE(join->join.overlap.has_value());
+      const Relation reference = NestedLoopJoin(*join, r, s);
+      const Relation expected = ExpectedJoinOrder(*join, r, s);
+      ASSERT_TRUE(expected.BagEquals(reference))
+          << "order model, seed " << seed << " predicate #" << p;
+      Relation base;
+      for (int layout = 0; layout < 4; ++layout) {
+        Catalog catalog;
+        for (const auto& [name, rel, columnar] :
+             {std::tuple{"r", &r, (layout & 1) != 0},
+              std::tuple{"s", &s, (layout & 2) != 0}}) {
+          Relation stored = *rel;
+          if (columnar) stored.ToColumnar();
+          catalog.Put(name, std::move(stored));
+          if (columnar) {
+            // nullptr (no index) for non-int or NULL endpoints.
+            catalog.PutIndex(name,
+                             TimelineIndex::Build(catalog.GetShared(name)));
+          }
+        }
+        const bool columnar_out = ExpectColumnarOutput(
+            *join, catalog.Get("r"), catalog.Get("s"));
+        for (int threads : {1, 4}) {
+          for (bool use_index : {false, true}) {
+            ExecOptions options;
+            options.num_threads = threads;
+            options.use_cost_model = false;  // let tiny inputs fan out
+            options.use_timeline_index = use_index;
+            ExecStats stats;
+            Relation out = Execute(join, catalog, options, &stats);
+            const std::string context =
+                StrCat("seed ", seed, " predicate #", p, " layout ", layout,
+                       " threads ", threads, " index ", use_index);
+            ASSERT_TRUE(out.BagEquals(reference))
+                << context << "\nsweep:\n" << out.ToString()
+                << "reference:\n" << reference.ToString();
+            EXPECT_EQ(out.is_columnar(), columnar_out) << context;
+            columnar_runs += static_cast<int>(columnar_out);
+            slow_lane_runs += static_cast<int>(has_slow_rows);
+            pruned_runs += static_cast<int>(stats.index_join_prunes > 0);
+            fanned_out_runs += static_cast<int>(stats.parallel_tasks > 0);
+            if (layout == 0 && threads == 1 && !use_index) {
+              ExpectRowsIdentical(out, expected, context + " vs order model");
+              base = std::move(out);
+            } else {
+              ExpectRowsIdentical(out, base, context);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(columnar_runs, 0);
+  EXPECT_GT(slow_lane_runs, 0);
+  EXPECT_GT(pruned_runs, 0);
+  EXPECT_GT(fanned_out_runs, 0);
 }
 
 TEST(IntervalJoinPropertyTest, IndexCandidatesKeepSweepRowExact) {
