@@ -3,17 +3,24 @@
 // (TimesliceEncoded) it bypasses — the tau_T lookup behind every
 // `SEQ VT AS OF t` query and `TemporalDB::Timeslice()` call.  Measures
 // point timeslices across table sizes (indexed vs scan, plus the
-// one-off build cost amortized over the lookups) and the sensitivity to
-// the checkpoint interval K (replay length vs checkpoint memory).
+// one-off build cost amortized over the lookups), the sensitivity to
+// the checkpoint interval K (replay length vs checkpoint memory), and
+// end to end from SQL text: SEQ VT AS OF aggregate, join and EXCEPT ALL
+// queries planned by snapshot reducibility (the default) vs tau_t at the
+// root of the full REWR plan (push_down_timeslice = false), results
+// checked bag-equal before timing.
 // Record medians into BENCH_timeslice.json per docs/benchmarks.md.
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
 #include "engine/temporal_ops.h"
 #include "engine/timeline_index.h"
+#include "middleware/temporal_db.h"
 #include "ra/plan.h"
 
 namespace periodk {
@@ -141,6 +148,67 @@ int main() {
                      std::to_string(index->num_checkpoints()),
                      bench::TablePrinter::Seconds(build),
                      Sci(indexed / probes_n)});
+  }
+
+  // --- SQL AS OF: snapshot reducibility vs tau at the root of REWR. --------
+  // Two period tables of a tenth of the largest size; the plan cache is
+  // off, so every query pays parse, bind and planning like a serving
+  // stream of distinct instants.
+  const int sql_rows = std::max(max_rows / 10, 100);
+  const int sql_probes = std::max(probes_n / 10, 2);
+  std::printf("\nSQL AS OF (%d rows per table, %d instants, plan cache "
+              "off): reducible plan vs tau at the root of REWR.\n",
+              sql_rows, sql_probes);
+  TemporalDB db(TimeDomain{0, kDomainEnd});
+  db.set_plan_cache_enabled(false);
+  for (const char* name : {"h1", "h2"}) {
+    if (!db.PutPeriodTable(name, MakeTable(&rng, sql_rows), "a_begin",
+                           "a_end")
+             .ok()) {
+      std::fprintf(stderr, "FATAL: cannot load %s\n", name);
+      return 1;
+    }
+  }
+  std::vector<TimePoint> instants = ProbePoints(&rng, sql_probes);
+  for (TimePoint& t : instants) t = std::min(t, kDomainEnd - 1);
+  RewriteOptions root_tau;
+  root_tau.push_down_timeslice = false;
+  bench::TablePrinter qtable({"Query", "Reducible/q", "RootTau/q", "Speedup"},
+                             {10, 12, 12, 10});
+  qtable.PrintHeader();
+  const std::pair<const char*, const char*> queries[] = {
+      {"aggregate", "SELECT count(*) AS n, avg(v) AS a FROM h1"},
+      {"join", "SELECT x.v, y.v FROM h1 x JOIN h2 y ON x.k = y.k"},
+      {"except", "SELECT k FROM h1 EXCEPT ALL SELECT k FROM h2"}};
+  for (const auto& [name, body] : queries) {
+    std::vector<std::string> sqls;
+    for (TimePoint t : instants) {
+      sqls.push_back("SEQ VT AS OF " + std::to_string(t) + " (" + body + ")");
+    }
+    for (const std::string& sql : sqls) {
+      Result<Relation> reducible = db.Query(sql);
+      Result<Relation> reference = db.Query(sql, root_tau);
+      if (!reducible.ok() || !reference.ok() ||
+          !reducible->BagEquals(*reference)) {
+        std::fprintf(stderr, "FATAL: AS OF plans diverge: %s\n", sql.c_str());
+        return 1;
+      }
+    }
+    auto run = [&](const RewriteOptions& options) {
+      return bench::TimeMedian(
+                 [&] {
+                   for (const std::string& sql : sqls) {
+                     (void)db.Query(sql, options);
+                   }
+                 },
+                 repeats) /
+             sql_probes;
+    };
+    double reducible = run(db.options());
+    double reference = run(root_tau);
+    char speedup[32];
+    std::snprintf(speedup, sizeof(speedup), "%.1fx", reference / reducible);
+    qtable.PrintRow({name, Sci(reducible), Sci(reference), speedup});
   }
   return 0;
 }

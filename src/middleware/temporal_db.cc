@@ -459,32 +459,18 @@ std::shared_ptr<const TimelineIndex> TemporalDB::EnsureTimelineIndex(
   return index;
 }
 
-void TemporalDB::EnsureTimelineIndexes(const PlanPtr& plan, Snapshot& snap,
-                                       bool use_cost_model) const {
-  // A middleware plan acquires its kTimeslice at the statement root and
-  // PushDownTimeslice only moves it through unary nodes, so any
-  // indexable timeslice sits on the unary left spine — an
-  // allocation-free probe, so the common no-AS-OF serving path pays
-  // O(spine) instead of a full DAG walk.  Hand-built plans holding
-  // timeslices elsewhere are merely not accelerated (the executor falls
-  // back to the scan path without an index).
-  // (`class` disambiguates from the TemporalDB::Plan member function.)
-  for (const class Plan* node = plan.get(); node != nullptr;
-       node = node->left.get()) {
-    if (node->kind != PlanKind::kTimeslice || node->left == nullptr ||
-        node->left->kind != PlanKind::kScan) {
-      continue;
-    }
+void TemporalDB::EnsureTimelineIndexes(
+    const std::vector<const class Plan*>& sliced_scans, Snapshot& snap,
+    bool use_cost_model) const {
+  for (const class Plan* node : sliced_scans) {
     const std::string& table = node->left->table;
     if (!snap.catalog.Has(table)) continue;
     int arity = static_cast<int>(snap.catalog.Get(table).schema().size());
-    if (arity < 2) continue;
-    // Index over exactly the columns this slice reads: the trailing two
-    // for the PERIODENC default, or the stored positions when the
-    // pushdown crossed a non-trailing period table's encoded
-    // projection.  The executor rejects any other layout.
+    // Index over exactly the columns this slice reads: the stored
+    // endpoint positions, trailing or not.  The executor rejects an
+    // index over any other pair.
     auto [begin_col, end_col] = ResolveSliceColumns(*node);
-    if (begin_col >= arity || end_col >= arity) continue;
+    if (arity < 2 || begin_col >= arity || end_col >= arity) continue;
     EnsureTimelineIndex(table, begin_col, end_col, snap, use_cost_model);
   }
 }
@@ -503,29 +489,31 @@ Result<PlanPtr> TemporalDB::PlanBound(const sql::BoundStatement& bound,
   try {
     PlanPtr plan = bound.plan;
     // One model per planning pass: it reads the snapshot's statistics
-    // and memoizes per plan node, so the rewriter's reorder pre-pass
-    // and the strategy-hint pass below share estimates.
+    // and memoizes per plan node, so the join reorder and the
+    // strategy-hint pass below share estimates.
     std::optional<CostModel> cost;
     if (options.use_cost_model) cost.emplace(&snap.catalog, domain_);
-    if (bound.snapshot) {
+    if (bound.as_of.has_value() && !domain_.Contains(*bound.as_of)) {
+      return Status::InvalidArgument(StrCat("AS OF time ", *bound.as_of,
+                                            " outside the domain ",
+                                            domain_.ToString()));
+    }
+    if (bound.as_of.has_value() &&
+        options.semantics == SnapshotSemantics::kPeriodK &&
+        options.push_down_timeslice) {
+      // Snapshot reducibility (Thm 6.3): tau_t(REWR(Q)(D)) = Q(tau_t(D)).
+      // bound.plan is the plain Q over snapshot schemas, so slicing its
+      // period-table scans at t leaves an ordinary multiset query.
+      plan = BuildAsOfPlan(plan, *bound.as_of, bound.encoded_tables);
+      if (cost.has_value()) plan = ReorderJoins(plan, *cost);
+    } else if (bound.snapshot) {
       SnapshotRewriter rewriter(domain_, options, bound.encoded_tables,
                                 cost.has_value() ? &*cost : nullptr);
       plan = rewriter.Rewrite(plan);
+      // The baselines are not snapshot-reducible (their Table 1 bugs),
+      // so their AS OF slices the whole rewritten result at the root.
       if (bound.as_of.has_value()) {
-        // tau_T of the snapshot result (Thm 6.3 guarantees this equals
-        // evaluating the query over the sliced database).
-        if (!domain_.Contains(*bound.as_of)) {
-          return Status::InvalidArgument(
-              StrCat("AS OF time ", *bound.as_of, " outside the domain ",
-                     domain_.ToString()));
-        }
         plan = MakeTimeslice(std::move(plan), *bound.as_of);
-        if (options.push_down_timeslice) {
-          // Move tau below the final coalesce and through the REWR
-          // select/project shapes so it lands on the scans, where the
-          // executor can answer it from the timeline index.
-          plan = PushDownTimeslice(plan);
-        }
       }
     } else if (cost.has_value()) {
       // Non-snapshot statements scan stored tables directly; their
@@ -534,8 +522,7 @@ Result<PlanPtr> TemporalDB::PlanBound(const sql::BoundStatement& bound,
     }
     if (cost.has_value()) {
       // Mark tiny overlap joins for the nested loop.  Runs on the final
-      // encoded plan (post-rewrite/pushdown) so the hint lands on the
-      // joins that actually execute.
+      // plan so the hint lands on the joins that actually execute.
       plan = ApplyJoinStrategyHints(plan, *cost);
     }
     if (!bound.order_by.empty()) {
@@ -550,9 +537,9 @@ Result<PlanPtr> TemporalDB::PlanBound(const sql::BoundStatement& bound,
   }
 }
 
-Result<PlanPtr> TemporalDB::PlanForSnapshot(const std::string& sql,
-                                            const RewriteOptions& options,
-                                            const Snapshot& snap) const {
+Result<TemporalDB::PlannedStatement> TemporalDB::PlanForSnapshot(
+    const std::string& sql, const RewriteOptions& options,
+    const Snapshot& snap) const {
   const std::string key = PlanCacheKey(sql, options);
   bool use_cache;
   {
@@ -574,7 +561,7 @@ Result<PlanPtr> TemporalDB::PlanForSnapshot(const std::string& sql,
         }
         if (valid) {
           ++cache_stats_.hits;
-          return it->second.plan;
+          return it->second.planned;
         }
       }
       ++cache_stats_.misses;
@@ -587,7 +574,12 @@ Result<PlanPtr> TemporalDB::PlanForSnapshot(const std::string& sql,
   Result<sql::BoundStatement> bound = BindSql(sql, snap);
   if (!bound.ok()) return bound.status();
   Result<PlanPtr> plan = PlanBound(*bound, options, snap);
-  if (use_cache && plan.ok()) {
+  if (!plan.ok()) return plan.status();
+  PlannedStatement planned{*plan, {}};
+  if (bound->as_of.has_value()) {
+    planned.sliced_scans = CollectSlicedScans(planned.plan);
+  }
+  if (use_cache) {
     // Record the base tables the plan reads at the versions the pinned
     // snapshot saw: the entry stays valid exactly as long as none of
     // those tables mutates.  A table absent from the snapshot's version
@@ -606,10 +598,11 @@ Result<PlanPtr> TemporalDB::PlanForSnapshot(const std::string& sql,
     // queries pinned to any other state simply miss.
     if (plan_cache_enabled_) {
       if (plan_cache_.size() >= kPlanCacheMaxEntries) plan_cache_.clear();
-      plan_cache_.insert_or_assign(key, CachedPlan{*plan, std::move(versions)});
+      plan_cache_.insert_or_assign(key,
+                                   CachedPlan{planned, std::move(versions)});
     }
   }
-  return plan;
+  return planned;
 }
 
 Result<PlanPtr> TemporalDB::Plan(const std::string& sql) const {
@@ -619,7 +612,10 @@ Result<PlanPtr> TemporalDB::Plan(const std::string& sql) const {
 Result<PlanPtr> TemporalDB::Plan(const std::string& sql,
                                  const RewriteOptions& options) const {
   try {
-    return PlanForSnapshot(sql, options, PinSnapshot());
+    Result<PlannedStatement> planned =
+        PlanForSnapshot(sql, options, PinSnapshot());
+    if (!planned.ok()) return planned.status();
+    return planned->plan;
   } catch (const std::exception& error) {
     // Planning reports every failure as a Status; this is the backstop
     // that keeps the no-throw middleware boundary airtight.
@@ -644,8 +640,9 @@ Result<std::string> TemporalDB::Explain(const std::string& sql) const {
 
 Result<std::string> TemporalDB::ExplainAnalyze(const std::string& sql) const {
   Snapshot snap = PinSnapshot();
-  Result<PlanPtr> plan = PlanForSnapshot(sql, options_, snap);
-  if (!plan.ok()) return plan.status();
+  Result<PlannedStatement> planned = PlanForSnapshot(sql, options_, snap);
+  if (!planned.ok()) return planned.status();
+  const PlanPtr& plan = planned->plan;
   try {
     ExecStats stats;
     ExecOptions exec;
@@ -653,9 +650,10 @@ Result<std::string> TemporalDB::ExplainAnalyze(const std::string& sql) const {
     exec.use_timeline_index = options_.use_timeline_index;
     exec.use_cost_model = options_.use_cost_model;
     if (exec.use_timeline_index) {
-      EnsureTimelineIndexes(*plan, snap, options_.use_cost_model);
+      EnsureTimelineIndexes(planned->sliced_scans, snap,
+                            options_.use_cost_model);
     }
-    Relation result = Execute(*plan, snap.catalog, exec, &stats);
+    Relation result = Execute(plan, snap.catalog, exec, &stats);
     std::string rendered;
     if (options_.use_cost_model) {
       // Per-node estimated vs. actual cardinality.  Deterministic:
@@ -672,9 +670,9 @@ Result<std::string> TemporalDB::ExplainAnalyze(const std::string& sql) const {
         }
         return StrCat(suffix, "]");
       };
-      rendered = (*plan)->ToString(0, annotate);
+      rendered = plan->ToString(0, annotate);
     } else {
-      rendered = (*plan)->ToString();
+      rendered = plan->ToString();
     }
     // The execution counters carry the per-run delta replay
     // (index delta events); the maintenance line adds the DB-lifetime
@@ -697,8 +695,8 @@ Result<Relation> TemporalDB::Query(const std::string& sql) const {
 Result<Relation> TemporalDB::Query(const std::string& sql,
                                    const RewriteOptions& options) const {
   Snapshot snap = PinSnapshot();
-  Result<PlanPtr> plan = PlanForSnapshot(sql, options, snap);
-  if (!plan.ok()) return plan.status();
+  Result<PlannedStatement> planned = PlanForSnapshot(sql, options, snap);
+  if (!planned.ok()) return planned.status();
   try {
     ExecOptions exec;
     exec.num_threads = options.num_threads;
@@ -706,9 +704,10 @@ Result<Relation> TemporalDB::Query(const std::string& sql,
     exec.use_cost_model = options.use_cost_model;
     // First indexed read builds the (per-snapshot, COW-shared) index.
     if (exec.use_timeline_index) {
-      EnsureTimelineIndexes(*plan, snap, options.use_cost_model);
+      EnsureTimelineIndexes(planned->sliced_scans, snap,
+                            options.use_cost_model);
     }
-    return Execute(*plan, snap.catalog, exec);
+    return Execute(planned->plan, snap.catalog, exec);
   } catch (const std::exception& error) {
     // EngineError plus anything execution-adjacent (e.g. std::thread
     // failing to spawn pool workers): the boundary never throws.

@@ -45,7 +45,10 @@
 //
 // Point-in-time reads (SEQ VT AS OF, Timeslice) are answered from
 // per-table timeline indexes (engine/timeline_index.h) built lazily on
-// the first indexed read.  Appends keep them warm: the new rows become
+// the first indexed read.  Under the period-K semantics an AS OF t
+// query is not rewritten at all: by snapshot reducibility it runs as
+// the plain query over every period table sliced at t
+// (BuildAsOfPlan).  Appends keep the indexes warm: the new rows become
 // a differential delta published next to the base index, folded into a
 // fresh full index by threshold-triggered compaction (inline or
 // background — IndexMaintenanceOptions); see docs/architecture.md §8.
@@ -297,10 +300,13 @@ class TemporalDB {
   std::shared_ptr<const TimelineIndex> EnsureTimelineIndex(
       const std::string& table, int begin_col, int end_col, Snapshot& snap,
       bool use_cost_model) const PERIODK_EXCLUDES(catalog_mu_);
-  /// Ensures an index for every table the plan timeslices directly over
-  /// a scan (the shape PushDownTimeslice produces for AS OF queries).
-  void EnsureTimelineIndexes(const PlanPtr& plan, Snapshot& snap,
-                             bool use_cost_model) const;
+  /// Ensures an index for every timeslice-over-scan in `sliced_scans`
+  /// (a PlannedStatement's list, recorded once at plan time), each over
+  /// the endpoint columns that slice reads.  Plans without AS OF carry
+  /// an empty list, so they pay nothing here.
+  void EnsureTimelineIndexes(
+      const std::vector<const class Plan*>& sliced_scans, Snapshot& snap,
+      bool use_cost_model) const;
 
   /// How a write relates to the table's current state.
   enum class WriteKind {
@@ -369,6 +375,15 @@ class TemporalDB {
                                     uint64_t published_version)
       PERIODK_REQUIRES(writer_mu_) PERIODK_EXCLUDES(maintenance_mu_);
 
+  /// An executable plan plus what serving it needs besides the plan.
+  struct PlannedStatement {
+    PlanPtr plan;
+    /// AS-OF plans only: every kTimeslice of `plan` directly over a
+    /// kScan (CollectSlicedScans), i.e. the tables whose timeline index
+    /// a read ensures before executing.  Points into `plan`.
+    std::vector<const class Plan*> sliced_scans;
+  };
+
   [[nodiscard]] Result<sql::BoundStatement> BindSql(
       const std::string& sql, const Snapshot& snap) const;
   /// Plans a bound statement against `snap` (the snapshot supplies the
@@ -377,7 +392,7 @@ class TemporalDB {
       const sql::BoundStatement& bound, const RewriteOptions& options,
       const Snapshot& snap) const;
   /// Plans against the pinned snapshot, consulting/warming the cache.
-  [[nodiscard]] Result<PlanPtr> PlanForSnapshot(
+  [[nodiscard]] Result<PlannedStatement> PlanForSnapshot(
       const std::string& sql, const RewriteOptions& options,
       const Snapshot& snap) const;
   /// Flushes every cached plan (table creation, cache disable).
@@ -445,7 +460,7 @@ class TemporalDB {
   // The cache is bounded (it restarts empty on overflow), so
   // unboundedly many distinct statements cannot grow memory forever.
   struct CachedPlan {
-    PlanPtr plan;
+    PlannedStatement planned;
     // Base tables the plan scans, each with the version it was bound
     // against.  A hit requires every listed table to still be at its
     // recorded version in the query's snapshot; a plan scanning no

@@ -833,7 +833,11 @@ PlanPtr HintWalk(const PlanPtr& n, const CostModel& cost,
   PlanPtr l = HintWalk(n->left, cost, memo);
   PlanPtr r = HintWalk(n->right, cost, memo);
   JoinStrategy strategy = n->join_strategy;
-  if (n->kind == PlanKind::kJoin && n->join.overlap.has_value()) {
+  // Only joins with equi-keys: a tiny pure-temporal overlap join runs
+  // its sweep about twice as fast as the nested loop, which compares
+  // the endpoints through SqlCompare per pair (bench_planner tiny-nl).
+  if (n->kind == PlanKind::kJoin && n->join.overlap.has_value() &&
+      !n->join.equi_keys.empty()) {
     const double product =
         cost.EstimateRows(*n->left) * cost.EstimateRows(*n->right);
     strategy = product <= static_cast<double>(kTinyJoinProduct)

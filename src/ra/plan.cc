@@ -424,6 +424,29 @@ std::vector<std::string> CollectScanTables(const PlanPtr& plan) {
 
 namespace {
 
+void CollectSlicedScansImpl(const Plan* node,
+                            std::unordered_set<const Plan*>* visited,
+                            std::vector<const Plan*>* out) {
+  if (node == nullptr || !visited->insert(node).second) return;
+  if (node->kind == PlanKind::kTimeslice &&
+      node->left->kind == PlanKind::kScan) {
+    out->push_back(node);
+  }
+  CollectSlicedScansImpl(node->left.get(), visited, out);
+  CollectSlicedScansImpl(node->right.get(), visited, out);
+}
+
+}  // namespace
+
+std::vector<const Plan*> CollectSlicedScans(const PlanPtr& plan) {
+  std::vector<const Plan*> out;
+  std::unordered_set<const Plan*> visited;
+  CollectSlicedScansImpl(plan.get(), &visited, &out);
+  return out;
+}
+
+namespace {
+
 /// True iff every column `expr` references lies below `limit`.
 bool ReferencesOnlyBelow(const ExprPtr& expr, int limit) {
   if (expr == nullptr) return true;

@@ -200,6 +200,11 @@ int CountKind(const PlanPtr& plan, PlanKind kind);
 /// mutation of table T evicts only the plans that read T.
 std::vector<std::string> CollectScanTables(const PlanPtr& plan);
 
+/// Every kTimeslice directly over a kScan, in first-visit order
+/// (DAG-aware): the slices the executor can answer from the table's
+/// timeline index.  The middleware records them once per AS-OF plan.
+std::vector<const Plan*> CollectSlicedScans(const PlanPtr& plan);
+
 // --- Timeslice pushdown legality (consumed by PushDownTimeslice in
 // rewrite/rewriter.h).  Both judge a single parent/child edge of an
 // encoded plan, whose trailing two columns are the interval endpoints. -------

@@ -1,5 +1,7 @@
 #include "rewrite/rewriter.h"
 
+#include <unordered_map>
+
 #include "common/status.h"
 #include "common/str_util.h"
 #include "ra/cost_model.h"
@@ -385,6 +387,107 @@ PlanPtr PushDownTimeslice(const PlanPtr& plan) {
   if (plan == nullptr || plan->kind != PlanKind::kTimeslice) return plan;
   auto [begin_col, end_col] = ResolveSliceColumns(*plan);
   return PushTimesliceInto(plan->slice_time, plan->left, begin_col, end_col);
+}
+
+namespace {
+
+/// Endpoint positions of a period table whose PERIODENC plan is the
+/// binder's reordering projection: a column projection of the stored
+/// scan that moves (begin, end) last and keeps every other column in
+/// stored order.  Slicing the stored scan at (begin, end) then yields
+/// exactly the snapshot columns, in order.
+bool StoredEndpoints(const Plan& encoded, int* begin_col, int* end_col) {
+  if (encoded.kind != PlanKind::kProject ||
+      encoded.left->kind != PlanKind::kScan) {
+    return false;
+  }
+  const size_t arity = encoded.left->schema.size();
+  if (arity < 2 || encoded.exprs.size() != arity) return false;
+  for (const ExprPtr& e : encoded.exprs) {
+    if (e->kind != ExprKind::kColumn) return false;
+  }
+  *begin_col = encoded.exprs[arity - 2]->column;
+  *end_col = encoded.exprs[arity - 1]->column;
+  if (*begin_col == *end_col) return false;
+  int next = 0;
+  for (size_t i = 0; i + 2 < arity; ++i) {
+    while (next == *begin_col || next == *end_col) ++next;
+    if (encoded.exprs[i]->column != next++) return false;
+  }
+  return true;
+}
+
+/// tau_t of one snapshot scan, renamed to the scan's snapshot schema.
+PlanPtr SliceScan(const Plan& scan, TimePoint t,
+                  const std::map<std::string, PlanPtr>& encoded_tables) {
+  auto it = encoded_tables.find(scan.table);
+  PlanPtr encoded = it != encoded_tables.end()
+                        ? it->second
+                        : MakeScan(scan.table, EncodedSchema(scan.schema));
+  const int arity = static_cast<int>(encoded->schema.size());
+  if (arity != static_cast<int>(scan.schema.size()) + 2) {
+    throw EngineError(StrCat("encoded table ", scan.table,
+                             " has unexpected arity"));
+  }
+  int begin_col = 0;
+  int end_col = 0;
+  PlanPtr sliced;
+  if (encoded->kind == PlanKind::kScan) {
+    sliced = MakeTimeslice(encoded, t);
+  } else if (StoredEndpoints(*encoded, &begin_col, &end_col)) {
+    sliced = MakeTimesliceAt(encoded->left, t, begin_col, end_col);
+  } else {
+    sliced = MakeTimeslice(encoded, t);  // correct, just not indexed
+  }
+  auto named = std::make_shared<Plan>(*sliced);
+  named->schema = scan.schema;
+  return named;
+}
+
+PlanPtr AsOfNode(const PlanPtr& q, TimePoint t,
+                 const std::map<std::string, PlanPtr>& encoded_tables,
+                 std::unordered_map<const Plan*, PlanPtr>& memo) {
+  auto it = memo.find(q.get());
+  if (it != memo.end()) return it->second;
+  PlanPtr out;
+  switch (q->kind) {
+    case PlanKind::kScan:
+      out = SliceScan(*q, t, encoded_tables);
+      break;
+    case PlanKind::kConstant:
+      // A constant snapshot relation holds at every instant.
+      out = q;
+      break;
+    case PlanKind::kSelect:
+    case PlanKind::kProject:
+    case PlanKind::kJoin:
+    case PlanKind::kUnionAll:
+    case PlanKind::kExceptAll:
+    case PlanKind::kAggregate:
+    case PlanKind::kDistinct: {
+      auto copy = std::make_shared<Plan>(*q);
+      copy->left = AsOfNode(q->left, t, encoded_tables, memo);
+      if (q->right != nullptr) {
+        copy->right = AsOfNode(q->right, t, encoded_tables, memo);
+      }
+      out = std::move(copy);
+      break;
+    }
+    default:
+      throw EngineError(
+          StrCat("operator not supported under snapshot semantics: ",
+                 PlanKindName(q->kind)));
+  }
+  memo.emplace(q.get(), out);
+  return out;
+}
+
+}  // namespace
+
+PlanPtr BuildAsOfPlan(const PlanPtr& query, TimePoint t,
+                      const std::map<std::string, PlanPtr>& encoded_tables) {
+  std::unordered_map<const Plan*, PlanPtr> memo;
+  return AsOfNode(query, t, encoded_tables, memo);
 }
 
 PlanPtr SnapshotRewriter::RewriteDistinct(const PlanPtr& q) const {

@@ -59,11 +59,12 @@ struct RewriteOptions {
   /// Apply the final coalesce that makes the output encoding unique.
   bool final_coalesce = true;
   CoalesceImpl coalesce_impl = CoalesceImpl::kNative;
-  /// Push the kTimeslice of a SEQ VT AS OF query below the final
-  /// coalesce and through selections/projections toward the scans (see
-  /// PushDownTimeslice), so point-in-time queries reach the timeline
-  /// index before materializing anything.  Plan-shaping: part of the
-  /// middleware's plan-cache key.
+  /// Plan a kPeriodK SEQ VT AS OF query by snapshot reducibility
+  /// (BuildAsOfPlan): slice every period-table scan at t and run the
+  /// plain query.  false puts tau_t at the root of the full REWR plan
+  /// instead -- the plan the baseline semantics always get, kept as the
+  /// in-process reference.  Plan-shaping: part of the middleware's
+  /// plan-cache key.
   bool push_down_timeslice = true;
   /// Intra-query parallelism for execution (not a rewrite knob, but
   /// plumbed here so middleware callers configure one options struct):
@@ -128,6 +129,21 @@ class SnapshotRewriter {
   const CostModel* cost_model_ = nullptr;
 };
 
+/// SEQ VT AS OF t by snapshot reducibility (paper Thm 6.3,
+/// tau_t(REWR(Q)(D)) = Q(tau_t(D))): `query` is the plain query over
+/// snapshot schemas (the binder's plan), and every kScan in it becomes
+/// a timeslice at t of the stored table, read at the table's stored
+/// endpoint positions so the executor can answer it from the timeline
+/// index.  `encoded_tables` is the rewriter's map (table -> PERIODENC
+/// plan); an unmapped scan reads its table with trailing endpoints.
+/// Each slice keeps the snapshot scan's schema, so every other node is
+/// reused as is: the result runs with plain multiset operators -- no
+/// split, split-aggregate or coalesce.  Only valid for kPeriodK; the
+/// baseline semantics are not snapshot-reducible (their Table 1 bugs).
+/// Throws EngineError on operators REWR does not support either.
+PlanPtr BuildAsOfPlan(const PlanPtr& query, TimePoint t,
+                      const std::map<std::string, PlanPtr>& encoded_tables);
+
 /// Pushes a top-level kTimeslice (the plan shape of SEQ VT AS OF t)
 /// toward the leaves, one legal step at a time:
 ///
@@ -145,6 +161,13 @@ class SnapshotRewriter {
 /// the input plan (row order may differ when a coalesce is elided) and
 /// has the same output schema.  Plans whose root is not kTimeslice are
 /// returned unchanged.
+///
+/// The middleware no longer calls it (AS OF plans come from
+/// BuildAsOfPlan).  It stays for the repository benchmark's trace
+/// replay, which still times it as its `rewrite.pushdown` layer;
+/// deleting it, with PushTimesliceInto / DropShift here and
+/// TimesliceCommutesWith* in ra/plan.h, waits for a benchmark-only
+/// change that drops that replay.
 PlanPtr PushDownTimeslice(const PlanPtr& plan);
 
 }  // namespace periodk

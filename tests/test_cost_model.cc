@@ -224,6 +224,32 @@ TEST(ReorderJoinsTest, FlatEstimatesKeepThePlanBitIdentical) {
   EXPECT_EQ(ReorderJoins(join, cost).get(), join.get());
 }
 
+// The nested-loop hint fires only on overlap joins with equi-keys: a
+// tiny pure-temporal overlap join runs its sweep about twice as fast as
+// the nested loop (BENCH_planner.json tiny-nl), so it stays at kAuto.
+TEST(CostModelTest, TinyJoinHintSkipsPureTemporalJoins) {
+  Catalog catalog;
+  Relation iv(Schema::FromNames({"k", "a_begin", "a_end"}));
+  for (int i = 0; i < 6; ++i) {
+    iv.AddRow({Value::Int(i % 2), Value::Int(i), Value::Int(i + 3)});
+  }
+  catalog.Put("iv", std::move(iv));
+  AttachStats(&catalog, "iv", 1, 2);
+  CostModel cost(&catalog, kDomain);
+  ExprPtr overlap = AndAll({Lt(Col(1), Col(5)), Lt(Col(4), Col(2))});
+  PlanPtr temporal =
+      MakeJoin(ScanOf(catalog, "iv"), ScanOf(catalog, "iv"), overlap);
+  ASSERT_TRUE(temporal->join.overlap.has_value());
+  ASSERT_TRUE(temporal->join.equi_keys.empty());
+  EXPECT_EQ(ApplyJoinStrategyHints(temporal, cost), temporal);
+
+  PlanPtr keyed = MakeJoin(ScanOf(catalog, "iv"), ScanOf(catalog, "iv"),
+                           AndAll({Eq(Col(0), Col(3)), overlap}));
+  ASSERT_FALSE(keyed->join.equi_keys.empty());
+  PlanPtr hinted = ApplyJoinStrategyHints(keyed, cost);
+  EXPECT_EQ(hinted->join_strategy, JoinStrategy::kNestedLoop);
+}
+
 // --- Executor gates (row-identical substitutions). -------------------------
 
 TEST(CostGateTest, TinyEquiJoinRunsAsNestedLoopRowIdentically) {

@@ -1,6 +1,7 @@
 // Differential testing against the embedded SQLite oracle
 // (docs/testing.md): randomized snapshot queries are rewritten with
-// REWR, executed by the engine, transpiled to SQL
+// REWR (or, for some AS OF cases, planned by snapshot reducibility with
+// BuildAsOfPlan), executed by the engine, transpiled to SQL
 // (src/sql/transpile.h), executed by SQLite over the same data, and
 // compared as multisets.  A divergence is shrunk to a minimal plan and
 // minimal data, then dumped as a self-contained SQL reproducer
@@ -129,11 +130,13 @@ FuzzCase BuildCase(int seed, double mid_insert_chance = 0.0) {
   std::string wrappers;
   if (rng.Chance(0.2)) {
     TimePoint t = rng.Range(kDomain.tmin, kDomain.tmax);
-    plan = MakeTimeslice(plan, t);
     if (rng.Chance(0.5)) {
-      plan = PushDownTimeslice(plan);
-      wrappers += StrCat(" timeslice@", t, "(pushed)");
+      // The middleware's period-K AS OF plan: the plain snapshot query
+      // over every period scan sliced at t (snapshot reducibility).
+      plan = BuildAsOfPlan(snapshot_query, t, {{"p", encoded_p}});
+      wrappers += StrCat(" as-of@", t);
     } else {
+      plan = MakeTimeslice(plan, t);
       wrappers += StrCat(" timeslice@", t);
     }
   }

@@ -6,7 +6,9 @@
 // the index itself: the executor's routing (ExecStats::index_timeslices,
 // stale-index rejection, use_timeline_index = false fallback), the
 // rewriter's timeslice pushdown, the middleware's lazy index lifecycle,
-// and a concurrent AS-OF serving smoke test.
+// a concurrent AS-OF serving smoke test, and the AS-OF plan built by
+// snapshot reducibility (BuildAsOfPlan) against tau_t at the root of
+// the full REWR plan.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -576,6 +578,292 @@ TEST(TimelineIndexMiddlewareTest, ConcurrentAsOfServingStaysConsistent) {
   auto scan_result = db.Query("SEQ VT AS OF 8 (SELECT val FROM t)", scan_opts);
   ASSERT_TRUE(scan_result.ok());
   EXPECT_TRUE(final_result->BagEquals(*scan_result));
+}
+
+
+// --- AS OF by snapshot reducibility. ---------------------------------------
+
+/// Renders a RandomQueryGenerator plan (an arity-2 snapshot query over
+/// the period tables r, s and p) as middleware SQL.  Every (sub)query
+/// names its output columns c0..cN-1, so nesting never depends on
+/// source column names.
+class SnapshotSqlRenderer {
+ public:
+  std::string Query(const Plan& q) const {
+    const size_t n = q.schema.size();
+    switch (q.kind) {
+      case PlanKind::kScan:
+        return StrCat("SELECT a AS c0, b AS c1 FROM ", q.table);
+      case PlanKind::kSelect:
+        return StrCat("SELECT ", Passthrough(n), " FROM (", Query(*q.left),
+                      ") AS x WHERE ", Expr(*q.predicate, -1));
+      case PlanKind::kProject: {
+        std::vector<std::string> items;
+        for (size_t i = 0; i < n; ++i) {
+          items.push_back(StrCat(Expr(*q.exprs[i], -1), " AS c", i));
+        }
+        return StrCat("SELECT ", Join(items, ", "), " FROM (", Query(*q.left),
+                      ") AS x");
+      }
+      case PlanKind::kJoin: {
+        const int nl = static_cast<int>(q.left->schema.size());
+        std::vector<std::string> items;
+        for (size_t i = 0; i < n; ++i) {
+          items.push_back(StrCat(Ref(static_cast<int>(i), nl), " AS c", i));
+        }
+        return StrCat("SELECT ", Join(items, ", "), " FROM (", Query(*q.left),
+                      ") AS lhs JOIN (", Query(*q.right), ") AS rhs ON ",
+                      Expr(*q.predicate, nl));
+      }
+      case PlanKind::kUnionAll:
+      case PlanKind::kExceptAll:
+        return StrCat("SELECT ", Passthrough(n), " FROM (", Query(*q.left),
+                      ") AS x ",
+                      q.kind == PlanKind::kUnionAll ? "UNION ALL"
+                                                    : "EXCEPT ALL",
+                      " SELECT ", Passthrough(n), " FROM (", Query(*q.right),
+                      ") AS x");
+      case PlanKind::kDistinct:
+        return StrCat("SELECT DISTINCT ", Passthrough(n), " FROM (",
+                      Query(*q.left), ") AS x");
+      case PlanKind::kAggregate: {
+        std::vector<std::string> items;
+        for (const ExprPtr& g : q.exprs) items.push_back(Expr(*g, -1));
+        const std::string group_by =
+            items.empty() ? "" : StrCat(" GROUP BY ", Join(items, ", "));
+        for (const AggExpr& a : q.aggs) {
+          items.push_back(a.func == AggFunc::kCountStar
+                              ? std::string("count(*)")
+                              : StrCat(AggFuncName(a.func), "(",
+                                       Expr(*a.arg, -1), ")"));
+        }
+        for (size_t i = 0; i < items.size(); ++i) {
+          items[i] = StrCat(items[i], " AS c", i);
+        }
+        return StrCat("SELECT ", Join(items, ", "), " FROM (", Query(*q.left),
+                      ") AS x", group_by);
+      }
+      default:
+        ADD_FAILURE() << "unexpected node " << PlanKindName(q.kind);
+        return "";
+    }
+  }
+
+ private:
+  static std::string Passthrough(size_t n) {
+    std::vector<std::string> items;
+    for (size_t i = 0; i < n; ++i) items.push_back(StrCat("x.c", i, " AS c", i));
+    return Join(items, ", ");
+  }
+
+  /// Input column `c`: of the one subquery x when `join_left_arity` is
+  /// negative, else of the join's lhs / rhs subqueries.
+  static std::string Ref(int c, int join_left_arity) {
+    if (join_left_arity < 0) return StrCat("x.c", c);
+    return c < join_left_arity ? StrCat("lhs.c", c)
+                               : StrCat("rhs.c", c - join_left_arity);
+  }
+
+  static std::string Expr(const class Expr& e, int join_left_arity) {
+    switch (e.kind) {
+      case ExprKind::kColumn:
+        return Ref(e.column, join_left_arity);
+      case ExprKind::kLiteral:
+        return e.literal.ToString();
+      case ExprKind::kArith:
+        return StrCat("(", Expr(*e.children[0], join_left_arity), " + ",
+                      Expr(*e.children[1], join_left_arity), ")");
+      case ExprKind::kCompare: {
+        const char* ops[] = {"=", "<>", "<", "<=", ">", ">="};
+        return StrCat(Expr(*e.children[0], join_left_arity), " ",
+                      ops[static_cast<int>(e.cmp)], " ",
+                      Expr(*e.children[1], join_left_arity));
+      }
+      default:
+        ADD_FAILURE() << "unexpected expression " << e.ToString();
+        return "";
+    }
+  }
+};
+
+/// Period tables r and s (trailing endpoints) and p (endpoints stored at
+/// columns 0 and 2), filled like the differential fuzzer's tables.
+TemporalDB RandomPeriodDb(Rng* rng) {
+  Catalog data = RandomEncodedCatalog(rng, kDomain, /*max_rows=*/10,
+                                      /*null_chance=*/0.15,
+                                      /*empty_validity_chance=*/0.1);
+  AddRandomPeriodTable(rng, &data, kDomain, 10, 0.15, 0.1);
+  TemporalDB db(kDomain);
+  for (const char* name : {"r", "s", "p"}) {
+    const Relation& rel = data.Get(name);
+    std::vector<std::string> columns;
+    for (size_t i = 0; i < rel.schema().size(); ++i) {
+      columns.push_back(rel.schema().at(i).name);
+    }
+    EXPECT_TRUE(
+        db.CreatePeriodTable(name, columns, "a_begin", "a_end").ok());
+    if (rel.size() > 0) EXPECT_TRUE(db.InsertRows(name, rel.rows()).ok());
+  }
+  return db;
+}
+
+/// Nodes a plan built by snapshot reducibility must not contain.
+bool HasTemporalOperator(const PlanPtr& plan) {
+  return ContainsKind(plan, PlanKind::kSplit) ||
+         ContainsKind(plan, PlanKind::kSplitAggregate) ||
+         ContainsKind(plan, PlanKind::kCoalesce);
+}
+
+TEST(AsOfPlanTest, MatchesRootTimesliceOfRewriteOnRandomQueries) {
+  Rng rng(0xa50fa50f);
+  RandomQueryConfig config;
+  config.null_literal_chance = 0.15;
+  config.union_dup_chance = 0.2;
+  config.period_scan_chance = 0.3;
+  RewriteOptions root_tau;
+  root_tau.push_down_timeslice = false;
+  const SnapshotSqlRenderer render;
+  int nonempty_answers = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    TemporalDB db = RandomPeriodDb(&rng);
+    RandomQueryGenerator gen(&rng, config);
+    PlanPtr query = gen.Generate(1 + static_cast<int>(rng.Uniform(3)));
+    const std::string body = render.Query(*query);
+    const int scans = CountKind(query, PlanKind::kScan);
+    // Two read phases; appends in between ride the timeline index's
+    // delta (or rebuild it) before the second.
+    for (int phase = 0; phase < 2; ++phase) {
+      if (phase == 1) {
+        for (const char* name : {"r", "s", "p"}) {
+          if (!rng.Chance(0.6)) continue;
+          std::vector<Row> rows = RandomAppendRows(
+              &rng, kDomain, /*period_layout=*/std::string(name) == "p",
+              1 + static_cast<int>(rng.Uniform(4)), 0.15, 0.1);
+          ASSERT_TRUE(db.InsertRows(name, std::move(rows)).ok());
+        }
+      }
+      // No generated row is alive at tmax - 1 (ends are <= tmax - 1), so
+      // that instant is always an empty snapshot.
+      for (TimePoint t : {kDomain.tmin, kDomain.tmax - 1,
+                          rng.Range(kDomain.tmin, kDomain.tmax - 1),
+                          rng.Range(kDomain.tmin, kDomain.tmax - 1)}) {
+        const std::string sql = StrCat("SEQ VT AS OF ", t, " (", body, ")");
+        Result<Relation> got = db.Query(sql);
+        Result<Relation> want = db.Query(sql, root_tau);
+        ASSERT_EQ(got.status().code(), want.status().code())
+            << sql << "\n" << got.status().ToString() << "\n"
+            << want.status().ToString();
+        if (!got.ok()) continue;
+        if (got->size() > 0) ++nonempty_answers;
+        EXPECT_TRUE(got->BagEquals(*want))
+            << sql << "\ngot:\n" << got->ToString() << "want:\n"
+            << want->ToString();
+
+        Result<PlanPtr> plan = db.Plan(sql);
+        ASSERT_TRUE(plan.ok()) << sql;
+        EXPECT_FALSE(HasTemporalOperator(*plan)) << (*plan)->ToString();
+        EXPECT_EQ(CollectSlicedScans(*plan).size(),
+                  static_cast<size_t>(scans))
+            << (*plan)->ToString();
+        Result<std::string> explained = db.ExplainAnalyze(sql);
+        ASSERT_TRUE(explained.ok()) << sql;
+        EXPECT_NE(explained->find(StrCat("index timeslices: ", scans, ",")),
+                  std::string::npos)
+            << *explained;
+      }
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(nonempty_answers, 100);  // the comparisons are not vacuous
+}
+
+TEST(AsOfPlanTest, EmptySnapshotAggregates) {
+  TemporalDB db(kDomain);
+  ASSERT_TRUE(db.CreatePeriodTable("t", {"grp", "val", "vb", "ve"}, "vb", "ve")
+                  .ok());
+  ASSERT_TRUE(db.InsertRows("t", {{Value::Int(1), Value::Int(5), Value::Int(2),
+                                   Value::Int(6)},
+                                  {Value::Int(2), Value::Int(7), Value::Int(4),
+                                   Value::Int(9)}})
+                  .ok());
+  RewriteOptions root_tau;
+  root_tau.push_down_timeslice = false;
+  for (TimePoint t : {TimePoint{0}, TimePoint{12}}) {  // nothing alive
+    const std::string global = StrCat(
+        "SEQ VT AS OF ", t, " (SELECT count(*) AS n, avg(val) AS a FROM t)");
+    Result<Relation> count = db.Query(global);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    ASSERT_EQ(count->size(), 1u);
+    EXPECT_EQ(count->rows()[0][0], Value::Int(0));
+    EXPECT_TRUE(count->rows()[0][1].is_null());
+    EXPECT_TRUE(count->BagEquals(*db.Query(global, root_tau)));
+
+    const std::string grouped = StrCat(
+        "SEQ VT AS OF ", t, " (SELECT grp, count(*) AS n FROM t GROUP BY grp)");
+    Result<Relation> groups = db.Query(grouped);
+    ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+    EXPECT_EQ(groups->size(), 0u);
+    EXPECT_EQ(db.Query(grouped, root_tau)->size(), 0u);
+  }
+}
+
+TEST(AsOfPlanTest, OnlyPeriodKIsPlannedBySnapshotReducibility) {
+  Rng rng(0xba5e);
+  TemporalDB db = SeededDb(&rng, 20);
+  const std::string sql =
+      "SEQ VT AS OF 5 (SELECT grp, count(*) AS n FROM t GROUP BY grp)";
+  Result<PlanPtr> ours = db.Plan(sql);
+  ASSERT_TRUE(ours.ok());
+  EXPECT_FALSE(HasTemporalOperator(*ours)) << (*ours)->ToString();
+  ASSERT_EQ(CollectSlicedScans(*ours).size(), 1u);
+  for (SnapshotSemantics baseline :
+       {SnapshotSemantics::kAlignment,
+        SnapshotSemantics::kIntervalPreservation,
+        SnapshotSemantics::kTeradata}) {
+    RewriteOptions options;
+    options.semantics = baseline;
+    Result<PlanPtr> plan = db.Plan(sql, options);
+    ASSERT_TRUE(plan.ok());
+    // tau stays at the root of the baseline's own rewrite.
+    EXPECT_EQ((*plan)->kind, PlanKind::kTimeslice)
+        << SnapshotSemanticsName(baseline);
+    EXPECT_TRUE(HasTemporalOperator(*plan)) << (*plan)->ToString();
+  }
+}
+
+// The pure builder, without the middleware: the plan over each sliced
+// period scan equals tau_t of the REWR plan on the same catalog,
+// non-trailing period table included, and every slice is indexed.
+TEST(AsOfPlanTest, BuilderEqualsTimeslicedRewriteOnEncodedCatalog) {
+  Rng rng(0xb111d);
+  RandomQueryConfig config;
+  config.period_scan_chance = 0.3;
+  for (int iter = 0; iter < 60; ++iter) {
+    Catalog catalog = RandomEncodedCatalog(&rng, kDomain, 10, 0.1, 0.1);
+    PlanPtr encoded_p = AddRandomPeriodTable(&rng, &catalog, kDomain, 10, 0.1,
+                                             0.1);
+    EncodeTables(&catalog);
+    catalog.PutIndex("r", TimelineIndex::Build(catalog.GetShared("r")));
+    catalog.PutIndex("s", TimelineIndex::Build(catalog.GetShared("s")));
+    catalog.PutIndex("p", TimelineIndex::Build(catalog.GetShared("p"), 0, 2));
+    RandomQueryGenerator gen(&rng, config);
+    PlanPtr query = gen.Generate(1 + static_cast<int>(rng.Uniform(3)));
+    const TimePoint t = rng.Range(kDomain.tmin, kDomain.tmax - 1);
+    const std::map<std::string, PlanPtr> encoded{{"p", encoded_p}};
+    PlanPtr as_of = BuildAsOfPlan(query, t, encoded);
+    EXPECT_FALSE(HasTemporalOperator(as_of));
+    ASSERT_EQ(as_of->schema.size(), query->schema.size());
+    SnapshotRewriter rewriter(kDomain, RewriteOptions{}, encoded);
+    PlanPtr root_tau = MakeTimeslice(rewriter.Rewrite(query), t);
+    ExecStats stats;
+    Relation got = Execute(as_of, catalog, ExecOptions{}, &stats);
+    EXPECT_EQ(stats.index_timeslices,
+              static_cast<int64_t>(CollectSlicedScans(as_of).size()));
+    Relation want = Execute(root_tau, catalog);
+    ASSERT_TRUE(got.BagEquals(want))
+        << "t=" << t << "\nquery:\n" << query->ToString() << "got:\n"
+        << got.ToString() << "want:\n" << want.ToString();
+  }
 }
 
 }  // namespace
