@@ -16,6 +16,10 @@
 // Exceptions thrown by tasks are captured and the first one is
 // rethrown from Run() after the batch completes (engine operators
 // throw EngineError; a parallel operator must not lose it).
+//
+// Run() is the only way in: every task belongs to a batch whose caller
+// waits for it, so no task outlives its Run() call and destroying an
+// idle pool never strands work.
 #ifndef PERIODK_COMMON_THREAD_POOL_H_
 #define PERIODK_COMMON_THREAD_POOL_H_
 
@@ -51,20 +55,6 @@ class ThreadPool {
   /// task observes a half-abandoned batch).
   void Run(std::vector<std::function<void()>> tasks);
 
-  /// Fire-and-forget: enqueues one task for the workers and returns
-  /// immediately (runs it inline when the pool spawned no workers).
-  /// Background tasks own their error handling — exceptions are
-  /// swallowed, never rethrown (there is no caller left to receive
-  /// them).  An owner that posted tasks must Drain() before destroying
-  /// the pool: destruction stops workers without claiming queued tasks.
-  /// Used for index-compaction handoff (middleware/temporal_db.cc).
-  void Post(std::function<void()> task);
-
-  /// Blocks until every task Post()ed so far has finished.  Safe to
-  /// call concurrently with Post from other threads; tasks posted while
-  /// draining extend the wait.
-  void Drain() PERIODK_EXCLUDES(drain_mu_);
-
  private:
   struct Queue {
     Mutex mu;
@@ -85,12 +75,6 @@ class ThreadPool {
   // Tasks pushed but not yet claimed; workers sleep while it is zero.
   std::atomic<int64_t> pending_{0};
   bool stop_ PERIODK_GUARDED_BY(wake_mu_) = false;
-
-  // Post()/Drain() completion accounting (Run() has its own per-batch
-  // state and never touches these).
-  Mutex drain_mu_;
-  CondVar drain_cv_;
-  int64_t detached_remaining_ PERIODK_GUARDED_BY(drain_mu_) = 0;
 };
 
 /// Creates the pool on first use: a query whose operators all stay

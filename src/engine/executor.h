@@ -126,10 +126,6 @@ struct ExecStats {
   /// was fully compacted).  Measures how much uncompacted write traffic
   /// a read crossed — see TemporalDB's IndexMaintenanceOptions.
   int64_t index_delta_events = 0;
-  /// Interval-join sides whose sweep input was pre-filtered with
-  /// TimelineIndex::AliveInRange candidates (rows provably outside the
-  /// opposite side's endpoint span skip the sweep).
-  int64_t index_join_prunes = 0;
   /// Equi joins the cost gate demoted to the (row-identical) nested
   /// loop because the input product was below kTinyJoinProduct.
   int64_t cost_nl_joins = 0;

@@ -21,6 +21,32 @@ Row Concat(const Row& lrow, const Row& rrow) {
   return combined;
 }
 
+/// One input of the overlap join's row output.  A pair's cells come
+/// from the input's storage: the rows of a row-stored input, or the
+/// typed columns of a columnar one, read cell by cell -- so a join over
+/// a stored table never builds and caches the table's full row view.
+class PairCells {
+ public:
+  explicit PairCells(const Relation& in)
+      : in_(in), rows_(in.is_columnar() ? nullptr : &in.rows()) {}
+
+  /// Appends row i's cells to `out`.
+  void AppendTo(uint32_t i, Row* out) const {
+    if (rows_ != nullptr) {
+      const Row& row = (*rows_)[i];
+      out->insert(out->end(), row.begin(), row.end());
+      return;
+    }
+    for (size_t c = 0; c < in_.schema().size(); ++c) {
+      out->push_back(in_.col(c).Get(i));
+    }
+  }
+
+ private:
+  const Relation& in_;
+  const std::vector<Row>* rows_;
+};
+
 }  // namespace
 
 Relation NestedLoopJoin(const Plan& plan, const Relation& left,
@@ -77,8 +103,9 @@ Relation NestedLoopJoin(const Plan& plan, const Relation& left,
   return out;
 }
 
-// The overlap join reads typed endpoint and key columns only; the row
-// view is read just to emit row output and to check a predicate.
+// The overlap join reads typed endpoint and key columns only; row
+// output is assembled from the inputs' storage (PairCells) and checked
+// against the predicate.
 // periodk-lint: columnar-lane-begin(overlap-join)
 namespace {
 
@@ -106,10 +133,8 @@ using RowPair = std::pair<uint32_t, uint32_t>;
 
 // Reusable per-worker sweep scratch: the active sets keep arrival
 // (begin-stable) order and drop expired entries lazily during the
-// emission scan.  Arrival order makes the emitted order a pure function
-// of the staged rows — removing a row that never overlaps anything
-// (index pruning) cannot perturb the order of the remaining pairs,
-// which is what makes the pruned join row-identical.
+// emission scan, so the emitted order is a pure function of the staged
+// rows.
 struct SweepScratch {
   std::vector<std::pair<TimePoint, uint32_t>> active_l;
   std::vector<std::pair<TimePoint, uint32_t>> active_r;
@@ -284,8 +309,7 @@ bool AssignBuckets(const std::vector<const ColumnData*>& lkeys,
 }  // namespace
 
 Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
-                             const Relation& right, const OpContext& ctx,
-                             const JoinCandidates& candidates) {
+                             const Relation& right, const OpContext& ctx) {
   const JoinAnalysis& ja = plan.join;
   if (!ja.overlap.has_value()) {
     throw EngineError("IntervalOverlapJoin requires an overlap conjunct");
@@ -297,9 +321,7 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
 
   // Stage both sides from their typed key and endpoint columns (a
   // row-stored input has just those columns encoded).  Buckets are
-  // created in first-appearance order of their key, left side first;
-  // a pruned row still creates its bucket, so the partition order --
-  // and with it the output order -- matches the unpruned run.
+  // created in first-appearance order of their key, left side first.
   KernelColumns lin(left);
   KernelColumns rin(right);
   std::vector<const ColumnData*> lkeys;
@@ -320,8 +342,6 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
     const int ec = is_left ? ov.left_end : ov.right_end;
     const ColumnData& bcol = in.Column(static_cast<size_t>(bc));
     const ColumnData& ecol = in.Column(static_cast<size_t>(ec));
-    const std::vector<char>* keep =
-        is_left ? candidates.left : candidates.right;
     for (uint32_t i = 0; i < ids.size(); ++i) {
       TimePoint b = 0;
       TimePoint e = 0;
@@ -333,8 +353,7 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
       Bucket& bucket = buckets[ids[i]];
       if (!well_formed) {
         (is_left ? bucket.slow_left : bucket.slow_right).push_back(i);
-      } else if (keep == nullptr || (*keep)[i] != 0) {
-        // A pruned row provably overlaps nothing on the opposite side.
+      } else {
         (is_left ? bucket.left : bucket.right).push_back(Staged{b, e, i});
       }
     }
@@ -349,15 +368,10 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
   const bool columnar_out = left.is_columnar() && right.is_columnar() &&
                             ja.residual == nullptr && all_well_formed &&
                             packed;
-  const std::vector<Row>* lrows = nullptr;
-  const std::vector<Row>* rrows = nullptr;
-  if (!columnar_out) {
-    // periodk-lint: allow(row-api-in-columnar-lane): row output, fetched
-    // before the fan-out
-    lrows = &left.rows();
-    // periodk-lint: allow(row-api-in-columnar-lane): row output
-    rrows = &right.rows();
-  }
+  // Built before the fan-out: a row-stored input's row view is fetched
+  // once, on the calling thread (columnar output has no such input).
+  const PairCells lcells(left);
+  const PairCells rcells(right);
 
   // The buckets are the parallel work units: chunks of buckets fan out
   // to the pool, each emitting into its own slot, concatenated in
@@ -388,7 +402,10 @@ Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
       }
       Relation& out = chunk_rows[c];
       auto emit = [&](const Expr* check, uint32_t l, uint32_t r) {
-        Row combined = Concat((*lrows)[l], (*rrows)[r]);
+        Row combined;
+        combined.reserve(plan.schema.size());
+        lcells.AppendTo(l, &combined);
+        rcells.AppendTo(r, &combined);
         if (check == nullptr || check->EvalBool(combined)) {
           // periodk-lint: allow(row-api-in-columnar-lane): row output
           out.AddRow(std::move(combined));

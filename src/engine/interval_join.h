@@ -14,19 +14,6 @@
 
 namespace periodk {
 
-/// Optional per-side sweep pruning, produced by the executor from a
-/// table's TimelineIndex (AliveInRange over the opposite side's
-/// endpoint span).  Bit i false marks source row i as provably unable
-/// to overlap anything on the opposite side, so the sweep skips it;
-/// nullptr keeps every row.  Pruning never touches the slow lane
-/// (malformed-interval rows are absent from the index anyway), and the
-/// pruned join is row-identical — same rows, same order — to the
-/// unpruned one.
-struct JoinCandidates {
-  const std::vector<char>* left = nullptr;
-  const std::vector<char>* right = nullptr;
-};
-
 /// Executes a kJoin plan whose analysis carries an overlap conjunct
 /// (plan.join.overlap must be set).  Exactly equivalent to evaluating
 /// plan.predicate over the cross product.  One lane serves both
@@ -40,13 +27,14 @@ struct JoinCandidates {
 /// Output is columnar (gathered column by column) when both inputs are
 /// columnar, no residual remains, every interval is well-formed and the
 /// keys pack into words; otherwise it is row-stored, each pair checked
-/// against the residual or, in the slow lane, the full predicate.
+/// against the residual or, in the slow lane, the full predicate.  Row
+/// output reads a columnar input's cells from its typed columns, so it
+/// never builds a stored table's row view.
 /// With a pool in `ctx` the equi-key buckets fan out to workers (a pure
 /// temporal join has one bucket and stays sequential); the output is
 /// row-identical at any thread count and in either input layout.
 Relation IntervalOverlapJoin(const Plan& plan, const Relation& left,
-                             const Relation& right, const OpContext& ctx = {},
-                             const JoinCandidates& candidates = {});
+                             const Relation& right, const OpContext& ctx = {});
 
 /// Reference implementation: O(n * m) nested loop, left-major, testing
 /// the analyzed conjuncts (or, for a genuinely opaque predicate, the

@@ -1,10 +1,9 @@
 // TimelineIndex: a checkpointed timeline index over one PERIODENC
 // relation, in the spirit of the Timeline Index of Kaufmann et al.
-// (SIGMOD 2013) and of the endpoint-sorted sweep structures the
-// interval-overlap join already uses.  It turns the timeslice operator
-// tau_T (paper Sec. 5.1, Def 6.2) — an O(table) scan per query in
-// `TimesliceEncoded` — into a binary search over a global event list
-// plus a bounded replay:
+// (SIGMOD 2013).  It serves exactly one operator, the timeslice tau_t
+// (paper Sec. 5.1, Def 6.2), turning the O(table) scan of
+// `TimesliceEncoded` into a binary search over a global event list plus
+// a bounded replay:
 //
 //   * every valid row [b, e) contributes a begin event at b and an end
 //     event at e; events are globally sorted by time;
@@ -19,8 +18,9 @@
 // built from (writers publish new Relation objects copy-on-write, so a
 // stale index can always be detected by pointer identity — see
 // `BuiltFor`).  The executor routes kTimeslice-over-kScan through it
-// when the catalog carries one (ExecOptions::use_timeline_index), and
-// the middleware builds it lazily on the first indexed read.
+// when the catalog carries one (ExecOptions::use_timeline_index); AS-OF
+// statements reduce to such slices by snapshot reducibility, and the
+// middleware builds the index lazily on the first indexed read.
 //
 // Differential layer (rdf3x-style DifferentialIndex): a copy-on-write
 // append publishes a new Relation whose prefix rows are value-identical
@@ -31,8 +31,9 @@
 // merged alive set stays sorted and Timeslice's projection is untouched.
 // Chained appends flatten — the base of a delta-carrying index never
 // itself carries a delta — and the delta is checkpointed like the base,
-// so replay stays bounded by K even before compaction folds the delta
-// into a fresh full index (see TemporalDB's IndexMaintenanceOptions).
+// so replay stays bounded by K until the writer's inline compaction
+// folds the delta into a fresh full index (see TemporalDB's
+// IndexMaintenanceOptions).
 #ifndef PERIODK_ENGINE_TIMELINE_INDEX_H_
 #define PERIODK_ENGINE_TIMELINE_INDEX_H_
 
@@ -101,11 +102,6 @@ class TimelineIndex {
     return source_.get() == relation;
   }
 
-  /// True iff the indexed endpoint columns are the trailing two — the
-  /// only layout kTimeslice's encoded-input invariant permits, and
-  /// therefore a precondition for the executor to use this index.
-  bool ColumnsAreTrailing() const;
-
   int begin_col() const { return begin_col_; }
   int end_col() const { return end_col_; }
   int64_t checkpoint_interval() const { return checkpoint_interval_; }
@@ -137,15 +133,6 @@ class TimelineIndex {
   /// comparisons — any int64 t is safe, including domain bounds.
   /// Complexity: O(log #events + K + |result|).
   std::vector<uint32_t> AliveAt(TimePoint t) const;
-
-  /// Row ids (ascending) of rows whose interval overlaps [b, e):
-  /// begin < e and end > b.  Empty when b >= e.  Yields the pre-sorted
-  /// candidate list an endpoint sweep (interval join, coalesce) can
-  /// consume in place of sorting a full scan; the operators themselves
-  /// do not consult it yet (ROADMAP item — they run over arbitrary
-  /// intermediates, not just indexed base tables).
-  /// Complexity: O(log #events + K + |result| log |result|).
-  std::vector<uint32_t> AliveInRange(TimePoint b, TimePoint e) const;
 
   /// Materialized tau_t: the alive rows with the two endpoint columns
   /// dropped, in source row order — result rows are identical, in
@@ -180,10 +167,6 @@ class TimelineIndex {
   // checkpoints_[c] = sorted row ids alive after the first
   // c * checkpoint_interval_ events (checkpoints_[0] is empty).
   std::vector<std::vector<uint32_t>> checkpoints_;
-  // Begin events only, sorted by time, for AliveInRange's "starts
-  // within [b, e)" lookup.
-  std::vector<TimePoint> begin_times_;
-  std::vector<uint32_t> begin_rows_;
   // Differential layer (both set or both null; see WithDelta).  When
   // set, this object's own event/checkpoint vectors are empty and every
   // lookup concatenates base answers (ids < delta_first_row_) with

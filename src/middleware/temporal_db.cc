@@ -80,8 +80,7 @@ std::string PlanCacheStats::ToString() const {
 
 std::string IndexMaintenanceStats::ToString() const {
   return StrCat("index maintenance: ", delta_publishes, " delta publishes, ",
-                compactions, " compactions, ", background_compactions,
-                " background compactions");
+                compactions, " compactions");
 }
 
 TemporalDB::TemporalDB(TemporalDB&& other)
@@ -102,19 +101,9 @@ TemporalDB::TemporalDB(TemporalDB&& other)
     MutexLock maintenance_lock(other.maintenance_mu_);
     maintenance_stats_ = other.maintenance_stats_;
   }
-  // compaction_pool_ stays with `other`: its in-flight tasks captured
-  // `other`'s `this` and drain against the (now empty) moved-from
-  // catalog, where every generation-tag check fails harmlessly.
   plan_cache_enabled_ = other.plan_cache_enabled_;
   plan_cache_ = std::move(other.plan_cache_);
   cache_stats_ = other.cache_stats_;
-}
-
-TemporalDB::~TemporalDB() {
-  // Serialize with writers so no new compaction can be scheduled, then
-  // wait out the in-flight ones: their tasks dereference this object.
-  MutexLock writer_lock(writer_mu_);
-  if (compaction_pool_ != nullptr) compaction_pool_->Drain();
 }
 
 IndexMaintenanceStats TemporalDB::index_maintenance_stats() const {
@@ -122,24 +111,18 @@ IndexMaintenanceStats TemporalDB::index_maintenance_stats() const {
   return maintenance_stats_;
 }
 
-void TemporalDB::WaitForIndexMaintenance() {
-  MutexLock writer_lock(writer_mu_);
-  if (compaction_pool_ != nullptr) compaction_pool_->Drain();
-}
-
 // --- Writers.  All serialize on writer_mu_, build new table state
 // outside the reader lock, and publish with a brief exclusive lock so
 // readers only ever block for a pointer swap. -------------------------------
 
-TemporalDB::AppendIndexPlan TemporalDB::PlanAppendIndex(
+std::shared_ptr<const TimelineIndex> TemporalDB::PlanAppendIndex(
     const std::shared_ptr<const Relation>& old_relation,
     const std::shared_ptr<const TimelineIndex>& old_index,
     const std::shared_ptr<const Relation>& next,
     const std::shared_ptr<const TableStats>& next_stats, int begin_idx,
     int end_idx) const {
-  AppendIndexPlan plan;
   if (!index_maintenance_.maintain_indexes || old_index == nullptr) {
-    return plan;  // nothing to maintain: the slot drops, reads rebuild
+    return nullptr;  // nothing to maintain: the slot drops, reads rebuild
   }
   // Only a current index over exactly the columns the period metadata
   // names can be extended; anything else (a racing layout change, a
@@ -147,82 +130,39 @@ TemporalDB::AppendIndexPlan TemporalDB::PlanAppendIndex(
   if (!old_index->BuiltFor(old_relation.get()) ||
       old_index->begin_col() != begin_idx ||
       old_index->end_col() != end_idx) {
-    return plan;
+    return nullptr;
   }
-  plan.index = TimelineIndex::WithDelta(old_index, next);
-  if (plan.index == nullptr) return plan;  // unindexable appended rows
+  std::shared_ptr<const TimelineIndex> index =
+      TimelineIndex::WithDelta(old_index, next);
+  if (index == nullptr) return nullptr;  // unindexable appended rows
   // Threshold: ratio of the compacted core, clamped.  The delta is
   // checkpointed too, so this bounds memory/merge overhead rather than
   // correctness or per-lookup replay.
-  int64_t base_events = static_cast<int64_t>(plan.index->num_events() -
-                                             plan.index->num_delta_events());
+  int64_t base_events =
+      static_cast<int64_t>(index->num_events() - index->num_delta_events());
   int64_t threshold = static_cast<int64_t>(
       index_maintenance_.compaction_ratio * static_cast<double>(base_events));
   threshold = std::clamp(threshold, index_maintenance_.min_compaction_events,
                          index_maintenance_.max_compaction_events);
-  bool compact =
-      static_cast<int64_t>(plan.index->num_delta_events()) >= threshold;
-  // Checkpoint-K for the folded index comes from the fresh statistics
-  // when the cost model is on, like the lazy build path.
-  plan.checkpoint_interval = TimelineIndex::kDefaultCheckpointInterval;
-  if (options_.use_cost_model && next_stats != nullptr &&
-      next_stats->BuiltFor(next.get())) {
-    plan.checkpoint_interval = CostModel::PickCheckpointInterval(*next_stats);
-  }
-  if (compact && !index_maintenance_.background_compaction) {
-    std::shared_ptr<const TimelineIndex> folded = TimelineIndex::Build(
-        next, begin_idx, end_idx, plan.checkpoint_interval);
+  if (static_cast<int64_t>(index->num_delta_events()) >= threshold) {
+    // Checkpoint-K for the folded index comes from the fresh statistics
+    // when the cost model is on, like the lazy build path.
+    int64_t checkpoint_interval = TimelineIndex::kDefaultCheckpointInterval;
+    if (options_.use_cost_model && next_stats != nullptr &&
+        next_stats->BuiltFor(next.get())) {
+      checkpoint_interval = CostModel::PickCheckpointInterval(*next_stats);
+    }
+    std::shared_ptr<const TimelineIndex> folded =
+        TimelineIndex::Build(next, begin_idx, end_idx, checkpoint_interval);
     if (folded != nullptr) {
-      plan.index = std::move(folded);
       MutexLock lock(maintenance_mu_);
       ++maintenance_stats_.compactions;
-      return plan;
+      return folded;
     }
   }
-  plan.compact_in_background =
-      compact && index_maintenance_.background_compaction;
   MutexLock lock(maintenance_mu_);
   ++maintenance_stats_.delta_publishes;
-  return plan;
-}
-
-void TemporalDB::ScheduleBackgroundCompaction(
-    const std::string& table, std::shared_ptr<const Relation> relation,
-    int begin_idx, int end_idx, int64_t checkpoint_interval,
-    uint64_t published_version) {
-  {
-    // One in-flight rebuild per table: a burst of appends keeps growing
-    // the delta and re-arms once the current rebuild settles.
-    MutexLock lock(maintenance_mu_);
-    if (!pending_compactions_.insert(table).second) return;
-  }
-  if (compaction_pool_ == nullptr) {
-    compaction_pool_ = std::make_unique<ThreadPool>(2);
-  }
-  compaction_pool_->Post([this, table, relation = std::move(relation),
-                          begin_idx, end_idx, checkpoint_interval,
-                          published_version] {
-    // Build outside every lock — the expensive part.
-    std::shared_ptr<const TimelineIndex> folded = TimelineIndex::Build(
-        relation, begin_idx, end_idx, checkpoint_interval);
-    bool published = false;
-    if (folded != nullptr) {
-      // Double-checked publication under the generation tag, like the
-      // lazy read-side build: the folded index replaces the delta index
-      // only while the table is still the exact published state it was
-      // built from; any later append's publication wins.
-      SharedMutexLock lock(catalog_mu_);
-      auto version = table_versions_.find(table);
-      if (version != table_versions_.end() &&
-          version->second == published_version) {
-        catalog_.PutIndex(table, folded);
-        published = true;
-      }
-    }
-    MutexLock lock(maintenance_mu_);
-    if (published) ++maintenance_stats_.background_compactions;
-    pending_compactions_.erase(table);
-  });
+  return index;
 }
 
 Status TemporalDB::CreateTable(const std::string& name,
@@ -336,31 +276,24 @@ Status TemporalDB::Publish(const std::string& name, WriteKind kind,
   // old index plus the new rows into a differential index (or, past the
   // threshold, a freshly folded one).  Created and replaced tables have
   // no old index; their slot stays empty for a lazy build on read.
-  AppendIndexPlan index_plan = PlanAppendIndex(
+  std::shared_ptr<const TimelineIndex> index = PlanAppendIndex(
       current, old_index, relation, stats, begin_idx, end_idx);
 
-  uint64_t published_version = 0;
   {
     SharedMutexLock lock(catalog_mu_);
     catalog_.PutShared(name, relation);
     catalog_.PutStats(name, std::move(stats));
     // PutShared dropped the index slot; restore the maintained index in
     // the same critical section so no reader observes the gap.
-    if (index_plan.index != nullptr) catalog_.PutIndex(name, index_plan.index);
+    if (index != nullptr) catalog_.PutIndex(name, std::move(index));
     if (period.has_value()) period_tables_[name] = *period;
     ++catalog_generation_;
     table_versions_[name] = catalog_generation_;
-    published_version = catalog_generation_;
   }
   if (kind == WriteKind::kCreate) {
     InvalidatePlanCache();
   } else {
     InvalidatePlanCacheForTable(name);
-  }
-  if (index_plan.compact_in_background) {
-    ScheduleBackgroundCompaction(name, relation, begin_idx, end_idx,
-                                 index_plan.checkpoint_interval,
-                                 published_version);
   }
   return Status::OK();
 }

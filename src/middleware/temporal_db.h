@@ -50,8 +50,8 @@
 // the plain query over every period table sliced at t
 // (BuildAsOfPlan).  Appends keep the indexes warm: the new rows become
 // a differential delta published next to the base index, folded into a
-// fresh full index by threshold-triggered compaction (inline or
-// background — IndexMaintenanceOptions); see docs/architecture.md §8.
+// fresh full index by the writer's threshold-triggered compaction
+// (IndexMaintenanceOptions); see docs/architecture.md §8.
 #ifndef PERIODK_MIDDLEWARE_TEMPORAL_DB_H_
 #define PERIODK_MIDDLEWARE_TEMPORAL_DB_H_
 
@@ -59,14 +59,12 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "engine/executor.h"
 #include "rewrite/rewriter.h"
 #include "sql/binder.h"
@@ -89,11 +87,9 @@ struct PlanCacheStats {
 /// rows become a differential delta (TimelineIndex::WithDelta) published
 /// in the catalog slot alongside the new relation, and once the delta
 /// crosses the compaction threshold the writer folds it into a fresh
-/// fully checkpointed index — inline by default, or handed to a
-/// work-stealing pool when background_compaction is set (published
-/// double-checked under the table's generation tag, so a racing writer
-/// simply wins).  Either mode answers every query identically; the
-/// knobs trade write latency against read-side delta replay.
+/// fully checkpointed index inline, before the publication.  Every
+/// setting answers every query identically; the knobs trade write
+/// latency against read-side delta replay.
 struct IndexMaintenanceOptions {
   /// Master switch.  Off restores the pre-differential behavior: every
   /// append drops the index for a lazy rebuild-from-scratch.
@@ -104,18 +100,12 @@ struct IndexMaintenanceOptions {
   int64_t min_compaction_events = 64;
   int64_t max_compaction_events = 4096;
   double compaction_ratio = 0.10;
-  /// Hand compactions to a background worker instead of running them on
-  /// the writer.  The delta index is still published immediately — the
-  /// compacted replacement lands asynchronously (WaitForIndexMaintenance
-  /// blocks until in-flight compactions settle).
-  bool background_compaction = false;
 };
 
 /// Counters of the write-path index maintenance.
 struct IndexMaintenanceStats {
-  int64_t delta_publishes = 0;        // appends that published a delta index
-  int64_t compactions = 0;            // deltas folded inline by the writer
-  int64_t background_compactions = 0; // compactions completed on the pool
+  int64_t delta_publishes = 0;  // appends that published a delta index
+  int64_t compactions = 0;      // deltas folded by the writer
   std::string ToString() const;
 };
 
@@ -134,11 +124,6 @@ class TemporalDB {
   /// (no tables, no cached plans) and safe only to destroy or reassign.
   TemporalDB(TemporalDB&& other);
   TemporalDB& operator=(TemporalDB&&) = delete;
-
-  /// Waits for in-flight background compactions before tearing the
-  /// catalog down (their tasks reference this object's locks and
-  /// catalog state).
-  ~TemporalDB();
 
   const TimeDomain& domain() const { return domain_; }
   const RewriteOptions& options() const { return options_; }
@@ -264,11 +249,6 @@ class TemporalDB {
   /// Maintenance observability: delta publishes and compactions so far.
   /// Thread-safe.
   [[nodiscard]] IndexMaintenanceStats index_maintenance_stats() const;
-  /// Blocks until every background compaction scheduled so far has
-  /// finished (each either published its index or lost its
-  /// generation-tag race and discarded it).  No-op when background
-  /// compaction never ran.  Thread-safe; serializes with writers.
-  void WaitForIndexMaintenance();
 
  private:
   /// An immutable view of the catalog pinned by one read operation: the
@@ -323,57 +303,31 @@ class TemporalDB {
   /// InvalidArgument, merges the batch into the current stats
   /// (kAppend) or collects them, maintains the timeline index, and
   /// swaps relation, stats and index into the catalog in one exclusive
-  /// section.  Then it invalidates cached plans and schedules any
-  /// background compaction.  `period` names the endpoint columns of a
-  /// created or replaced period table; an append reads them from the
-  /// catalog.
+  /// section.  Then it invalidates cached plans.  `period` names the
+  /// endpoint columns of a created or replaced period table; an append
+  /// reads them from the catalog.
   [[nodiscard]] Status Publish(const std::string& name, WriteKind kind,
                                Relation&& base,
                                std::optional<sql::PeriodTableInfo> period,
                                std::vector<Row> rows)
       PERIODK_EXCLUDES(writer_mu_, catalog_mu_);
 
-  /// What an append publishes into the table's index slot, decided by
-  /// PlanAppendIndex.
-  struct AppendIndexPlan {
-    /// Published next to the relation in the same exclusive-lock
-    /// section; nullptr drops the slot (maintenance off, stale index,
-    /// or unindexable appended rows) for a lazy rebuild on read.
-    std::shared_ptr<const TimelineIndex> index;
-    /// The delta crossed the threshold but compaction is deferred to
-    /// the pool: the writer publishes `index` (the delta) now and
-    /// schedules ScheduleBackgroundCompaction after the publication.
-    bool compact_in_background = false;
-    int64_t checkpoint_interval = 0;
-  };
-  /// Maintains `table`'s timeline index across a copy-on-write append:
-  /// wraps the current index and the appended rows of `next` into a
-  /// differential index, or — past the compaction threshold — folds
-  /// them into a fresh full index (checkpoint-K sized from `next`'s
-  /// statistics when the cost model is on).  Pure apart from the
-  /// maintenance counters; runs outside the catalog locks like the rest
-  /// of the writer's build phase.
-  AppendIndexPlan PlanAppendIndex(
+  /// Maintains the table's timeline index across a copy-on-write append
+  /// and returns what the append publishes into the index slot: the
+  /// current index and the appended rows of `next` wrapped into a
+  /// differential index, or — past the compaction threshold — folded
+  /// into a fresh full index (checkpoint-K sized from `next`'s
+  /// statistics when the cost model is on).  nullptr drops the slot
+  /// (maintenance off, stale index, or unindexable appended rows) for a
+  /// lazy rebuild on read.  Pure apart from the maintenance counters;
+  /// runs outside the catalog locks like the rest of the writer's build
+  /// phase.
+  std::shared_ptr<const TimelineIndex> PlanAppendIndex(
       const std::shared_ptr<const Relation>& old_relation,
       const std::shared_ptr<const TimelineIndex>& old_index,
       const std::shared_ptr<const Relation>& next,
       const std::shared_ptr<const TableStats>& next_stats, int begin_idx,
       int end_idx) const PERIODK_EXCLUDES(catalog_mu_, maintenance_mu_);
-  /// Hands a full rebuild of `table`'s index (over `relation`, the
-  /// just-published state at `published_version`) to the compaction
-  /// pool.  The task builds outside every lock and publishes
-  /// double-checked under the generation tag: only while the table is
-  /// still at `published_version` — a writer that raced in between
-  /// simply wins and the stale index is discarded.  At most one
-  /// compaction is in flight per table (later appends re-arm once it
-  /// settles).  Caller must hold writer_mu_ (the pool handle is
-  /// writer state).
-  void ScheduleBackgroundCompaction(const std::string& table,
-                                    std::shared_ptr<const Relation> relation,
-                                    int begin_idx, int end_idx,
-                                    int64_t checkpoint_interval,
-                                    uint64_t published_version)
-      PERIODK_REQUIRES(writer_mu_) PERIODK_EXCLUDES(maintenance_mu_);
 
   /// An executable plan plus what serving it needs besides the plan.
   struct PlannedStatement {
@@ -430,25 +384,12 @@ class TemporalDB {
   // See set_index_maintenance().
   IndexMaintenanceOptions index_maintenance_;
 
-  // Maintenance bookkeeping.  maintenance_mu_ guards the counters and
-  // the per-table in-flight set; it is leaf-level (nothing is acquired
-  // under it), so background tasks may take it while a writer holds
-  // writer_mu_ waiting in Drain() without a cycle.  Mutable: readers
-  // (index_maintenance_stats, ExplainAnalyze) snapshot the counters.
+  // Maintenance counters.  maintenance_mu_ is leaf-level (nothing is
+  // acquired under it).  Mutable: the const PlanAppendIndex counts, and
+  // readers (index_maintenance_stats, ExplainAnalyze) snapshot.
   mutable Mutex maintenance_mu_;
   mutable IndexMaintenanceStats maintenance_stats_
       PERIODK_GUARDED_BY(maintenance_mu_);
-  // Tables with a background compaction in flight; gates re-scheduling
-  // so a write burst queues at most one rebuild per table.
-  std::set<std::string> pending_compactions_
-      PERIODK_GUARDED_BY(maintenance_mu_);
-  // Background compaction workers, created on first use.  Writer state:
-  // only writers (who serialize on writer_mu_) schedule tasks, and
-  // WaitForIndexMaintenance/the destructor drain under the same lock.
-  // Deliberately not moved by the move constructor: in-flight tasks
-  // capture `this` of the moved-from object, which therefore keeps its
-  // pool and drains it at destruction (against its then-empty catalog).
-  std::unique_ptr<ThreadPool> compaction_pool_ PERIODK_GUARDED_BY(writer_mu_);
 
   // Bound-plan cache, keyed by (SQL text, rewrite options).  Mutable:
   // Query()/Plan() are logically const; the cache is an optimization.

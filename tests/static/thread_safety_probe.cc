@@ -61,13 +61,14 @@ class SharedCounter {
   int64_t value_ PERIODK_GUARDED_BY(mu_) = 0;
 };
 
-// Model of the catalog's index-slot publish protocol (differential
-// index maintenance): the slot is guarded by the catalog's SharedMutex,
-// and a background compaction may only publish its folded index while
-// holding that lock exclusively (double-checked against the generation
-// tag).  With -DPERIODK_SEED_TS_COMPACTION_VIOLATION the publish skips
-// the lock -- exactly the race a miswritten compaction task would
-// introduce -- and -Wthread-safety must reject the unit (WILL_FAIL).
+// Model of the catalog's index-slot publish protocol: the slot is
+// guarded by the catalog's SharedMutex, writers swap in a maintained
+// index with the relation, and a read that built an index lazily may
+// only publish it while holding that lock exclusively (double-checked
+// against the generation tag).  With
+// -DPERIODK_SEED_TS_COMPACTION_VIOLATION the publish skips the lock --
+// exactly the race a miswritten out-of-writer publish would introduce
+// -- and -Wthread-safety must reject the unit (WILL_FAIL).
 class IndexSlot {
  public:
   void ReaderConsult(int64_t* out) const {

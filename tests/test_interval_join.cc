@@ -404,7 +404,6 @@ TEST(IntervalJoinPropertyTest, SweepEqualsNestedLoopReference) {
   // stop covering one.
   int columnar_runs = 0;
   int slow_lane_runs = 0;
-  int pruned_runs = 0;
   int fanned_out_runs = 0;
   for (uint64_t seed = 0; seed < 120; ++seed) {
     Rng rng(seed * 7919 + 17);
@@ -439,39 +438,30 @@ TEST(IntervalJoinPropertyTest, SweepEqualsNestedLoopReference) {
           Relation stored = *rel;
           if (columnar) stored.ToColumnar();
           catalog.Put(name, std::move(stored));
-          if (columnar) {
-            // nullptr (no index) for non-int or NULL endpoints.
-            catalog.PutIndex(name,
-                             TimelineIndex::Build(catalog.GetShared(name)));
-          }
         }
         const bool columnar_out = ExpectColumnarOutput(
             *join, catalog.Get("r"), catalog.Get("s"));
         for (int threads : {1, 4}) {
-          for (bool use_index : {false, true}) {
-            ExecOptions options;
-            options.num_threads = threads;
-            options.use_cost_model = false;  // let tiny inputs fan out
-            options.use_timeline_index = use_index;
-            ExecStats stats;
-            Relation out = Execute(join, catalog, options, &stats);
-            const std::string context =
-                StrCat("seed ", seed, " predicate #", p, " layout ", layout,
-                       " threads ", threads, " index ", use_index);
-            ASSERT_TRUE(out.BagEquals(reference))
-                << context << "\nsweep:\n" << out.ToString()
-                << "reference:\n" << reference.ToString();
-            EXPECT_EQ(out.is_columnar(), columnar_out) << context;
-            columnar_runs += static_cast<int>(columnar_out);
-            slow_lane_runs += static_cast<int>(has_slow_rows);
-            pruned_runs += static_cast<int>(stats.index_join_prunes > 0);
-            fanned_out_runs += static_cast<int>(stats.parallel_tasks > 0);
-            if (layout == 0 && threads == 1 && !use_index) {
-              ExpectRowsIdentical(out, expected, context + " vs order model");
-              base = std::move(out);
-            } else {
-              ExpectRowsIdentical(out, base, context);
-            }
+          ExecOptions options;
+          options.num_threads = threads;
+          options.use_cost_model = false;  // let tiny inputs fan out
+          ExecStats stats;
+          Relation out = Execute(join, catalog, options, &stats);
+          const std::string context =
+              StrCat("seed ", seed, " predicate #", p, " layout ", layout,
+                     " threads ", threads);
+          ASSERT_TRUE(out.BagEquals(reference))
+              << context << "\nsweep:\n" << out.ToString()
+              << "reference:\n" << reference.ToString();
+          EXPECT_EQ(out.is_columnar(), columnar_out) << context;
+          columnar_runs += static_cast<int>(columnar_out);
+          slow_lane_runs += static_cast<int>(has_slow_rows);
+          fanned_out_runs += static_cast<int>(stats.parallel_tasks > 0);
+          if (layout == 0 && threads == 1) {
+            ExpectRowsIdentical(out, expected, context + " vs order model");
+            base = std::move(out);
+          } else {
+            ExpectRowsIdentical(out, base, context);
           }
         }
       }
@@ -479,94 +469,63 @@ TEST(IntervalJoinPropertyTest, SweepEqualsNestedLoopReference) {
   }
   EXPECT_GT(columnar_runs, 0);
   EXPECT_GT(slow_lane_runs, 0);
-  EXPECT_GT(pruned_runs, 0);
   EXPECT_GT(fanned_out_runs, 0);
 }
 
-TEST(IntervalJoinPropertyTest, IndexCandidatesKeepSweepRowExact) {
-  // Timeline-index candidate pruning (AliveInRange over the opposite
-  // side's endpoint span) must leave the join output row-identical to
-  // the unindexed sweep — including NULL keys, empty/reversed validity
-  // intervals (slow lane) and duplicate rows.
+TEST(IntervalJoinPropertyTest, OverlapJoinLeavesTimelineIndexesAlone) {
+  // The timeline index serves timeslices only.  Both stored tables are
+  // indexed and then appended to, so each index carries a differential
+  // delta; an overlap join over them must consult neither index and
+  // match the unindexed run row for row -- including NULL keys,
+  // empty/reversed validity intervals (slow lane) and self-joins.
   TimeDomain domain{0, 40};
   for (uint64_t seed = 0; seed < 80; ++seed) {
     Rng rng(seed * 6151 + 11);
     Catalog catalog = RandomEncodedCatalog(&rng, domain, /*max_rows=*/25,
                                            /*null_chance=*/0.2,
                                            /*empty_validity_chance=*/0.25);
+    EncodeTables(&catalog);
+    for (const char* name : {"r", "s"}) {
+      std::shared_ptr<const TimelineIndex> base =
+          TimelineIndex::Build(catalog.GetShared(name));
+      ASSERT_NE(base, nullptr);
+      // A copy-on-write append, as TemporalDB's writer publishes it.
+      auto next = std::make_shared<const Relation>(Relation::Append(
+          catalog.Get(name),
+          RandomAppendRows(&rng, domain, /*period_layout=*/false,
+                           /*count=*/4, /*null_chance=*/0.2)));
+      std::shared_ptr<const TimelineIndex> index =
+          TimelineIndex::WithDelta(base, next);
+      ASSERT_NE(index, nullptr);
+      ASSERT_GT(index->num_delta_events(), 0u);
+      catalog.PutShared(name, next);
+      catalog.PutIndex(name, index);
+    }
     std::vector<ExprPtr> preds = {
         OverlapPred(),
         And(Eq(Col(0), Col(4)), OverlapPred()),
         AndAll({Eq(Col(0), Col(4)), OverlapPred(), Ne(Col(1), Col(5))}),
     };
-    EncodeTables(&catalog);
-    catalog.PutIndex("r", TimelineIndex::Build(catalog.GetShared("r")));
-    catalog.PutIndex("s", TimelineIndex::Build(catalog.GetShared("s")));
     for (size_t p = 0; p < preds.size(); ++p) {
       for (const char* rhs : {"s", "r"}) {  // r-s and self-join shapes
         PlanPtr join = MakeJoin(MakeScan("r", EncodedAbSchema()),
                                 MakeScan(rhs, EncodedAbSchema()), preds[p]);
         ASSERT_TRUE(join->join.overlap.has_value());
+        const std::string context =
+            StrCat("seed ", seed, " predicate #", p, " rhs ", rhs);
         ExecOptions no_index;
         no_index.use_timeline_index = false;
-        ExecStats plain_stats;
-        Relation plain = Execute(join, catalog, no_index, &plain_stats);
-        EXPECT_EQ(plain_stats.index_join_prunes, 0);
+        Relation plain = Execute(join, catalog, no_index);
+        ExecOptions with_index;
+        with_index.use_timeline_index = true;
         ExecStats stats;
-        Relation pruned = Execute(join, catalog, ExecOptions{}, &stats);
-        EXPECT_EQ(stats.index_join_prunes, 2)
-            << "seed " << seed << " predicate #" << p;
-        ExpectRowsIdentical(pruned, plain,
-                            StrCat("seed ", seed, " predicate #", p, " rhs ",
-                                   rhs));
+        Relation indexed = Execute(join, catalog, with_index, &stats);
+        EXPECT_EQ(stats.index_delta_events, 0) << context;
+        EXPECT_EQ(stats.index_timeslices, 0) << context;
+        ExpectRowsIdentical(indexed, plain, context);
       }
     }
   }
-}
-
-TEST(IntervalJoinPropertyTest, IndexCandidatesHandleDegenerateSpans) {
-  // One side holds only empty/reversed intervals: the combined span
-  // collapses (lo >= hi) and pruning must fall back to AliveAt without
-  // losing the slow-lane matches those rows still produce.
-  Relation r(EncodedAbSchema());
-  r.AddRow({Value::Int(1), Value::Int(0), Value::Int(7), Value::Int(7)});
-  r.AddRow({Value::Int(2), Value::Int(0), Value::Int(8), Value::Int(6)});
-  Relation s(EncodedAbSchema());
-  s.AddRow({Value::Int(1), Value::Int(0), Value::Int(5), Value::Int(9)});
-  s.AddRow({Value::Int(2), Value::Int(0), Value::Int(2), Value::Int(4)});
-  s.AddRow({Value::Int(3), Value::Int(0), Value::Int(30), Value::Int(35)});
-  s.ToColumnar();
-  Catalog catalog;
-  catalog.Put("r", std::move(r));
-  catalog.Put("s", std::move(s));
-  catalog.PutIndex("s", TimelineIndex::Build(catalog.GetShared("s")));
-  PlanPtr join = MakeJoin(MakeScan("r", EncodedAbSchema()),
-                          MakeScan("s", EncodedAbSchema()), OverlapPred());
-  ExecOptions no_index;
-  no_index.use_timeline_index = false;
-  Relation plain = Execute(join, catalog, no_index);
-  ExecStats stats;
-  Relation pruned = Execute(join, catalog, ExecOptions{}, &stats);
-  EXPECT_EQ(stats.index_join_prunes, 1);  // only s carries an index
-  ExpectRowsIdentical(pruned, plain, "degenerate span");
-  // [7,7) and [8,6) both satisfy the raw conjunct against [5,9): two
-  // slow-lane hits the pruning must not lose.
-  EXPECT_EQ(plain.size(), 2u);
-
-  // Double endpoints on the unindexed side widen the span via
-  // floor/ceil (SQL compares int and double numerically).
-  Relation d(EncodedAbSchema());
-  d.AddRow({Value::Int(9), Value::Int(0), Value::Double(4.5),
-            Value::Double(8.25)});
-  catalog.Put("d", std::move(d));
-  PlanPtr djoin = MakeJoin(MakeScan("d", EncodedAbSchema()),
-                           MakeScan("s", EncodedAbSchema()), OverlapPred());
-  Relation dplain = Execute(djoin, catalog, no_index);
-  ExecStats dstats;
-  Relation dpruned = Execute(djoin, catalog, ExecOptions{}, &dstats);
-  EXPECT_EQ(dstats.index_join_prunes, 1);
-  ExpectRowsIdentical(dpruned, dplain, "double endpoints");
-  EXPECT_EQ(dplain.size(), 1u);  // [4.5, 8.25) overlaps [5, 9) only
 }
 
 TEST(IntervalJoinPropertyTest, SelfJoinOverlapOnly) {

@@ -61,7 +61,8 @@ TEST(TimelineIndexTest, TimesliceMatchesScanOnSmallTable) {
   for (int64_t k : {1, 2, 3, 64, 1000}) {
     auto index = TimelineIndex::Build(rel, k);
     ASSERT_NE(index, nullptr);
-    EXPECT_TRUE(index->ColumnsAreTrailing());
+    EXPECT_EQ(index->begin_col(), 2);
+    EXPECT_EQ(index->end_col(), 3);
     for (TimePoint t = -2; t <= 18; ++t) {
       ExpectRowsIdentical(index->Timeslice(t), TimesliceEncoded(*rel, t),
                           "K=" + std::to_string(k) +
@@ -94,7 +95,6 @@ TEST(TimelineIndexTest, EmptyTableAndEmptyIntervals) {
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->num_events(), 0u);
   EXPECT_TRUE(index->Timeslice(5).empty());
-  EXPECT_TRUE(index->AliveInRange(0, 16).empty());
 
   // Empty (b == e) and reversed (b > e) validity intervals are never
   // alive — exactly the scan path's behavior.
@@ -150,34 +150,6 @@ TEST(TimelineIndexTest, RefusesRowStoredSources) {
   auto row_stored = std::make_shared<const Relation>(std::move(rows));
   EXPECT_EQ(TimelineIndex::Build(row_stored), nullptr);
   EXPECT_EQ(TimelineIndex::WithDelta(base, row_stored), nullptr);
-}
-
-TEST(TimelineIndexTest, AliveInRangeMatchesBruteForce) {
-  Rng rng(0x7136713);
-  for (int iter = 0; iter < 60; ++iter) {
-    Catalog catalog =
-        RandomEncodedCatalog(&rng, kDomain, /*max_rows=*/20, 0.0,
-                             /*empty_validity_chance=*/0.2);
-    EncodeTables(&catalog);
-    auto rel = catalog.GetShared("r");
-    int64_t k = static_cast<int64_t>(rng.Uniform(6)) + 1;
-    auto index = TimelineIndex::Build(rel, k);
-    ASSERT_NE(index, nullptr);
-    for (int probe = 0; probe < 12; ++probe) {
-      TimePoint b = rng.Range(kDomain.tmin - 1, kDomain.tmax);
-      TimePoint e = rng.Range(kDomain.tmin - 1, kDomain.tmax + 1);
-      std::vector<uint32_t> expected;
-      for (size_t i = 0; i < rel->size(); ++i) {
-        TimePoint rb = rel->rows()[i][2].AsInt();
-        TimePoint re = rel->rows()[i][3].AsInt();
-        if (rb < re && rb < e && re > b && b < e) {
-          expected.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      EXPECT_EQ(index->AliveInRange(b, e), expected)
-          << "[" << b << ", " << e << ") K=" << k;
-    }
-  }
 }
 
 TEST(TimelineIndexTest, RandomTablesRowExactAcrossCheckpointIntervals) {
@@ -257,7 +229,8 @@ TEST(TimelineIndexExecTest, StaleOrMislayoutedIndexFallsBackToScan) {
   catalog.Put("odd", std::move(odd));
   auto odd_index = TimelineIndex::Build(catalog.GetShared("odd"), 0, 1);
   ASSERT_NE(odd_index, nullptr);
-  EXPECT_FALSE(odd_index->ColumnsAreTrailing());
+  EXPECT_EQ(odd_index->begin_col(), 0);
+  EXPECT_EQ(odd_index->end_col(), 1);
   catalog.PutIndex("odd", odd_index);
   PlanPtr odd_plan =
       MakeTimeslice(MakeScan("odd", Schema::FromNames({"vb", "ve", "x"})), 4);
